@@ -38,6 +38,35 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     return arr
 
 
+def scale_points(y: np.ndarray, lengthscales: np.ndarray):
+    """``(y / lengthscales, row sums of its squares)``.
+
+    The grid half of :meth:`Kernel.scaled_distance`; a caller that
+    evaluates many inputs against one fixed grid may keep the pair and
+    pass it to :func:`distance_from_scaled`.
+    """
+    ys = _as_2d(y) / lengthscales
+    return ys, get_backend().xp.sum(ys**2, axis=1)
+
+
+def distance_from_scaled(xs: np.ndarray, ys: np.ndarray,
+                         ys_sq: np.ndarray) -> np.ndarray:
+    """Pairwise distances between already-scaled point sets.
+
+    ``xs`` is the inputs divided by the lengthscales and ``(ys, ys_sq)``
+    is :func:`scale_points` of the grid; the result is exactly what
+    :meth:`Kernel.scaled_distance` returns for the unscaled pair.
+    """
+    bk = get_backend()
+    xp = bk.xp
+    sq = (
+        xp.sum(xs**2, axis=1)[:, None]
+        + ys_sq[None, :]
+        - 2.0 * bk.matmul(xs, ys.T)
+    )
+    return xp.sqrt(xp.maximum(sq, 0.0))
+
+
 class Kernel(abc.ABC):
     """Base class: a positive-definite covariance over R^d."""
 
@@ -61,19 +90,12 @@ class Kernel(abc.ABC):
         ``sqrt((z - z')^T L^-2 (z - z'))``.
         """
         xs = _as_2d(x) / self.lengthscales
-        ys = _as_2d(y) / self.lengthscales
+        ys, ys_sq = scale_points(y, self.lengthscales)
         if xs.shape[1] != self.n_dims or ys.shape[1] != self.n_dims:
             raise ValueError(
                 f"inputs must have {self.n_dims} dims, got {xs.shape[1]} and {ys.shape[1]}"
             )
-        bk = get_backend()
-        xp = bk.xp
-        sq = (
-            xp.sum(xs**2, axis=1)[:, None]
-            + xp.sum(ys**2, axis=1)[None, :]
-            - 2.0 * bk.matmul(xs, ys.T)
-        )
-        return xp.sqrt(xp.maximum(sq, 0.0))
+        return distance_from_scaled(xs, ys, ys_sq)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Covariance matrix between two sets of points."""
@@ -160,13 +182,15 @@ class RBF(Kernel):
 
 
 def batch_key(kernel: Kernel) -> "tuple | None":
-    """Hashable stacking key for ``kernel``, or ``None`` if unbatchable.
+    """Hashable family key for ``kernel``, or ``None`` if not stock.
 
-    Kernels with equal keys share a correlation function and may be
-    evaluated together through :func:`stacked_cross`; subclasses other
-    than the stock :class:`Matern`/:class:`RBF` return ``None`` so the
-    multi-head engine falls back to per-head evaluation rather than
-    assume an overridden ``_correlation``.
+    Kernels with equal keys share a correlation function, so they may
+    be evaluated together through :func:`stacked_cross`, and two with
+    equal lengthscales have interchangeable correlation blocks over the
+    same inputs.  Subclasses other than the stock :class:`Matern`/
+    :class:`RBF` return ``None`` so the multi-head engine evaluates
+    them per head rather than assume an overridden ``_correlation`` or
+    :meth:`Kernel.scaled_distance`.
     """
     if type(kernel) is Matern:
         return ("matern", kernel.nu)

@@ -17,16 +17,25 @@ every period recomputes the ``N x M`` cross-kernel *and* the
   principal block of the extended factor — cached solves against it
   stay valid and can be *extended* instead of recomputed.
 
-Per (context, head) the engine caches the cross-kernel matrix ``K`` and
-the solved ``V = L^-1 K``.  When ``k`` observations arrived since the
-cache entry was built, only the new block is computed::
+Per (context, head) the engine caches the cross-kernel matrix ``K``,
+the solved ``V = L^-1 K`` and the column sums ``sum(V**2, axis=0)``;
+per (context, lengthscales) it caches the joint grid divided by the
+lengthscales and its row sums of squares.  When ``k`` observations
+arrived since the cache entry was built, only the new block is
+computed::
 
     K = [K_old]          V = [V_old                          ]
         [K_new]              [L22^-1 (K_new - L21 @ V_old)   ]
 
 which costs ``O(k N M)`` — ``O(N M)`` per period — instead of
-``O(N^2 M)``.  The posterior mean ``mu = m + K^T alpha`` is assembled
-from the *live* ``alpha`` every query, so :meth:`GaussianProcess.
+``O(N^2 M)``, and the new rows' squares are added to the running sum,
+so the variance ``prior - sum(V**2)`` costs ``O(M)`` more.  Heads whose
+stock kernels share a family and lengthscales (EdgeBOL's cost and delay
+heads) and whose new input rows are equal evaluate the correlation
+block once per sweep and scale it by their own output scales.  Every
+row stays bit-identical to evaluating each head alone.  The posterior
+mean ``mu = m + K^T alpha`` is assembled from the *live* ``alpha``
+every query, so :meth:`GaussianProcess.
 set_prior_mean` (which only rewrites ``alpha``) needs no invalidation;
 anything that rebuilds the factor — ``fit``, eviction, a kernel or
 noise-variance change after a hyperparameter refit — bumps the GP's
@@ -66,7 +75,12 @@ import numpy as np
 
 from repro.core.backend import active_numerics, get_backend
 from repro.core.gp import GaussianProcess
-from repro.core.kernels import batch_key, stacked_cross
+from repro.core.kernels import (
+    batch_key,
+    distance_from_scaled,
+    scale_points,
+    stacked_cross,
+)
 from repro.telemetry import runtime as telemetry
 
 
@@ -158,16 +172,47 @@ class _HeadState:
 
     ``cross`` and ``v`` are capacity-doubled row buffers so per-period
     extensions append without reallocating the full ``N x M`` block.
+    ``vsq`` is the running column sum ``sum(v[:n]**2, axis=0)`` that the
+    posterior variance subtracts from ``prior_var``; it is kept by
+    :meth:`write_rows`, the only writer of rows.
     """
 
-    __slots__ = ("n", "factor_version", "cross", "v", "prior_var")
+    __slots__ = ("n", "factor_version", "cross", "v", "vsq", "prior_var")
 
     def __init__(self, n_points: int, prior_var: np.ndarray) -> None:
         self.n = 0
         self.factor_version = -1
         self.cross = np.empty((0, n_points))
         self.v = np.empty((0, n_points))
+        self.vsq = np.zeros(n_points)
         self.prior_var = prior_var
+
+    def write_rows(self, k0: int, cross: np.ndarray, v: np.ndarray) -> None:
+        """Store rows ``k0..k0+k`` of ``cross`` and ``v``; keep ``vsq``.
+
+        ``k0 == 0`` replaces the entry (a rebuild or a restore) and sets
+        ``vsq`` from the whole of ``v``; otherwise the new rows' squares
+        are added one row at a time, in row order.  numpy reduces axis 0
+        of a C-contiguous array row by row in the same order, so either
+        way ``vsq`` equals ``np.sum(self.v[:n]**2, axis=0)`` bit for bit.
+        """
+        n = k0 + v.shape[0]
+        self._reserve(n)
+        self.cross[k0:n] = cross
+        self.v[k0:n] = v
+        if k0 == 0:
+            self.vsq = np.sum(self.v[:n] ** 2, axis=0)
+        else:
+            # Square the C-ordered copy: its rows are contiguous.
+            for row in self.v[k0:n] ** 2:
+                self.vsq += row
+        self.n = n
+
+    def clear(self) -> None:
+        """Drop every row (the head went back to its prior)."""
+        if self.n:
+            self.n = 0
+            self.vsq = np.zeros(self.vsq.shape[0])
 
     def _reserve(self, rows: int) -> None:
         capacity = self.cross.shape[0]
@@ -179,6 +224,23 @@ class _HeadState:
             grown = np.empty((new_capacity, buffer.shape[1]))
             grown[: self.n] = buffer[: self.n]
             setattr(self, name, grown)
+
+
+class _ContextEntry:
+    """One cached context: its joint grid, head states and scaled grids.
+
+    ``scaled`` maps a lengthscale vector's bytes to the grid divided by
+    those lengthscales and its row sums of squares — the grid half of
+    :meth:`~repro.core.kernels.Kernel.scaled_distance`, shared by every
+    head whose kernel has those lengthscales and evicted with the entry.
+    """
+
+    __slots__ = ("joint", "states", "scaled")
+
+    def __init__(self, joint: np.ndarray) -> None:
+        self.joint = joint
+        self.states: dict[str, _HeadState] = {}
+        self.scaled: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class SurrogateEngine:
@@ -198,9 +260,10 @@ class SurrogateEngine:
         row.
     max_cached_contexts:
         LRU bound on distinct contexts whose joint grid and per-head
-        solves are retained.  Each entry costs
-        ``O(heads * N * M)`` floats, so the bound caps memory on long
-        runs with many distinct contexts.
+        solves are retained.  Each entry costs ``O(heads * N * M)``
+        floats (plus one scaled grid per distinct lengthscale vector),
+        so the bound caps memory on long runs with many distinct
+        contexts.
     batched:
         Serve same-shaped head groups through stacked linear algebra
         (see the module docstring).  ``None`` (default) follows the
@@ -245,9 +308,8 @@ class SurrogateEngine:
         self.batched = (
             active_numerics().batched_heads if batched is None else bool(batched)
         )
-        # context key -> (joint grid, head name -> _HeadState), LRU order.
-        self._cache: OrderedDict[bytes, tuple[np.ndarray, dict[str, _HeadState]]]
-        self._cache = OrderedDict()
+        # context key -> _ContextEntry, in LRU order.
+        self._cache: OrderedDict[bytes, _ContextEntry] = OrderedDict()
         self.stats = EngineStats()
 
     # -- introspection --------------------------------------------------
@@ -277,7 +339,7 @@ class SurrogateEngine:
             raise ValueError("context must be finite")
         return arr, arr.tobytes()
 
-    def _entry(self, context: np.ndarray):
+    def _entry(self, context: np.ndarray) -> _ContextEntry:
         arr, key = self._context_key(context)
         entry = self._cache.get(key)
         if entry is None:
@@ -285,7 +347,7 @@ class SurrogateEngine:
             joint = np.empty((m, self.context_dim + self.control_grid.shape[1]))
             joint[:, : self.context_dim] = arr
             joint[:, self.context_dim:] = self.control_grid
-            entry = (joint, {})
+            entry = _ContextEntry(joint)
             self._cache[key] = entry
             while len(self._cache) > self.max_cached_contexts:
                 self._cache.popitem(last=False)
@@ -300,20 +362,63 @@ class SurrogateEngine:
         The returned array is shared with the cache — treat as
         read-only.
         """
-        return self._entry(context)[0]
+        return self._entry(context).joint
 
     # -- posterior sweep -------------------------------------------------
 
-    def _state_for(self, name: str, joint: np.ndarray,
-                   states: dict[str, _HeadState]) -> _HeadState:
-        """The head's cache entry for this joint grid, created on miss."""
-        state = states.get(name)
+    def _state_for(self, name: str, entry: _ContextEntry) -> _HeadState:
+        """The head's cache entry for this context, created on miss."""
+        state = entry.states.get(name)
         if state is None:
+            joint = entry.joint
             state = _HeadState(
                 joint.shape[0], self._heads[name].kernel.diag(joint)
             )
-            states[name] = state
+            entry.states[name] = state
         return state
+
+    def _scaled_grid(self, entry: _ContextEntry, lengthscales: np.ndarray):
+        """The context's joint grid scaled by ``lengthscales`` (cached)."""
+        key = lengthscales.tobytes()
+        scaled = entry.scaled.get(key)
+        if scaled is None:
+            # A refit swaps lengthscales: keep only the grids some head
+            # still uses, so an entry holds at most one per kernel.
+            live = {gp.kernel.lengthscales.tobytes()
+                    for gp in self._heads.values()}
+            for stale in [k for k in entry.scaled if k not in live]:
+                del entry.scaled[stale]
+            scaled = scale_points(entry.joint, lengthscales)
+            entry.scaled[key] = scaled
+        return scaled
+
+    def _cross_rows(self, gp: GaussianProcess, x: np.ndarray, k0: int,
+                    entry: _ContextEntry, shared: dict) -> np.ndarray:
+        """``gp.kernel(x[k0:], joint)``, computed once per shared kernel.
+
+        ``shared`` lives for one :meth:`posterior` call and maps (kernel
+        family, lengthscales, row range) to the input rows and their
+        correlation block.  A head whose stock kernel matches a key
+        reuses the block only when its input rows are equal, and scales
+        it by its own ``output_scale`` — what ``Kernel.__call__`` does.
+        """
+        kernel = gp.kernel
+        rows = x[k0:]
+        family = batch_key(kernel)
+        if family is None:
+            return kernel(rows, entry.joint)
+        lengthscales = kernel.lengthscales
+        key = (family, lengthscales.tobytes(), k0, x.shape[0])
+        hit = shared.get(key)
+        if hit is not None and np.array_equal(hit[0], rows):
+            correlation = hit[1]
+        else:
+            ys, ys_sq = self._scaled_grid(entry, lengthscales)
+            correlation = kernel._correlation(
+                distance_from_scaled(rows / lengthscales, ys, ys_sq)
+            )
+            shared.setdefault(key, (rows, correlation))
+        return kernel.output_scale * correlation
 
     @staticmethod
     def _raise_no_factor(name: str) -> None:
@@ -332,75 +437,66 @@ class SurrogateEngine:
             # Covers a kernel/noise swap while the head is empty.
             state.prior_var = gp.kernel.diag(joint)
             state.factor_version = factor_version
-        state.n = 0
+        state.clear()
         mean = np.full(joint.shape[0], gp.prior_mean)
         return mean, state.prior_var.copy()
 
     def _rebuild_state(self, gp: GaussianProcess, state: _HeadState,
-                       x: np.ndarray, chol: np.ndarray,
-                       factor_version: int, joint: np.ndarray) -> None:
+                       x: np.ndarray, chol: np.ndarray, factor_version: int,
+                       entry: _ContextEntry, shared: dict) -> None:
         """Rebuild one head's cache entry exactly (cold or invalidated)."""
-        n = x.shape[0]
+        joint = entry.joint
         state.prior_var = gp.kernel.diag(joint)
-        state._reserve(n)
-        state.cross[:n] = gp.kernel(x, joint)
-        state.v[:n] = get_backend().solve_triangular(
-            chol, state.cross[:n], lower=True
+        cross = self._cross_rows(gp, x, 0, entry, shared)
+        state.write_rows(
+            0, cross, get_backend().solve_triangular(chol, cross, lower=True)
         )
-        state.n = n
         state.factor_version = factor_version
-        self.stats.kernel_evals += n * joint.shape[0]
+        self.stats.kernel_evals += x.shape[0] * joint.shape[0]
         self.stats.rebuilds += 1
 
     def _extend_state(self, gp: GaussianProcess, state: _HeadState,
                       x: np.ndarray, chol: np.ndarray,
-                      joint: np.ndarray) -> None:
+                      entry: _ContextEntry, shared: dict) -> None:
         """Extend one head's solves by the rank-1 rows added since cached."""
         n = x.shape[0]
         k0 = state.n
-        state._reserve(n)
-        state.cross[k0:n] = gp.kernel(x[k0:], joint)
-        block = state.cross[k0:n] - chol[k0:n, :k0] @ state.v[:k0]
-        state.v[k0:n] = get_backend().solve_triangular(
+        cross = self._cross_rows(gp, x, k0, entry, shared)
+        block = cross - chol[k0:n, :k0] @ state.v[:k0]
+        state.write_rows(k0, cross, get_backend().solve_triangular(
             chol[k0:n, k0:n], block, lower=True
-        )
-        state.n = n
-        self.stats.kernel_evals += (n - k0) * joint.shape[0]
+        ))
+        self.stats.kernel_evals += (n - k0) * entry.joint.shape[0]
         self.stats.extensions += 1
 
     @staticmethod
     def _assemble_moments(gp: GaussianProcess, state: _HeadState,
                           alpha: np.ndarray):
         """Posterior moments from a current cache entry and live alpha."""
-        n = state.n
-        cross = state.cross[:n]
-        v = state.v[:n]
-        mean = gp.prior_mean + cross.T @ alpha
-        variance = np.maximum(state.prior_var - np.sum(v**2, axis=0), 0.0)
+        mean = gp.prior_mean + state.cross[: state.n].T @ alpha
+        variance = np.maximum(state.prior_var - state.vsq, 0.0)
         return mean, variance
 
-    def _head_moments(
-        self,
-        name: str,
-        joint: np.ndarray,
-        states: dict[str, _HeadState],
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _head_moments(self, name: str, entry: _ContextEntry,
+                      shared: dict) -> tuple[np.ndarray, np.ndarray]:
         gp = self._heads[name]
-        state = self._state_for(name, joint, states)
+        state = self._state_for(name, entry)
 
         x, chol, alpha, factor_version = gp._posterior_state()
         if x is None:
-            return self._prior_moments(gp, state, joint, factor_version)
+            return self._prior_moments(gp, state, entry.joint, factor_version)
         if chol is None:
             self._raise_no_factor(name)
 
         if state.factor_version != factor_version:
             # Cold cache, or the factor lineage broke (fit / eviction /
             # hyperparameter change): rebuild this entry exactly.
-            self._rebuild_state(gp, state, x, chol, factor_version, joint)
+            self._rebuild_state(
+                gp, state, x, chol, factor_version, entry, shared
+            )
         elif state.n < x.shape[0]:
             # Same factor lineage, k new rank-1 rows: extend the solves.
-            self._extend_state(gp, state, x, chol, joint)
+            self._extend_state(gp, state, x, chol, entry, shared)
         else:
             self.stats.cache_hits += 1
 
@@ -409,8 +505,8 @@ class SurrogateEngine:
     def _batched_moments(
         self,
         names: tuple[str, ...],
-        joint: np.ndarray,
-        states: dict[str, _HeadState],
+        entry: _ContextEntry,
+        shared: dict,
     ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """All heads' moments via grouped stacked linear algebra.
 
@@ -427,9 +523,10 @@ class SurrogateEngine:
         rebuilds: dict[tuple, list] = {}
         extensions: dict[tuple, list] = {}
         live: list[tuple] = []
+        joint = entry.joint
         for name in names:
             gp = self._heads[name]
-            state = self._state_for(name, joint, states)
+            state = self._state_for(name, entry)
             x, chol, alpha, factor_version = gp._posterior_state()
             if x is None:
                 means[name], variances[name] = self._prior_moments(
@@ -444,7 +541,7 @@ class SurrogateEngine:
                 key = batch_key(gp.kernel)
                 if key is None:
                     self._rebuild_state(
-                        gp, state, x, chol, factor_version, joint
+                        gp, state, x, chol, factor_version, entry, shared
                     )
                 else:
                     rebuilds.setdefault((n, key), []).append(
@@ -453,7 +550,7 @@ class SurrogateEngine:
             elif state.n < n:
                 key = batch_key(gp.kernel)
                 if key is None:
-                    self._extend_state(gp, state, x, chol, joint)
+                    self._extend_state(gp, state, x, chol, entry, shared)
                 else:
                     extensions.setdefault((state.n, n, key), []).append(
                         (gp, state, x, chol)
@@ -475,10 +572,7 @@ class SurrogateEngine:
             )
             for i, (gp, state, x, chol, factor_version) in enumerate(group):
                 state.prior_var = gp.kernel.diag(joint)
-                state._reserve(n)
-                state.cross[:n] = cross_stack[i]
-                state.v[:n] = v_stack[i]
-                state.n = n
+                state.write_rows(0, cross_stack[i], v_stack[i])
                 state.factor_version = factor_version
                 self.stats.kernel_evals += n * m
                 self.stats.rebuilds += 1
@@ -500,10 +594,7 @@ class SurrogateEngine:
             )
             v_stack = backend.solve_triangular(l22_stack, blocks, lower=True)
             for i, (gp, state, x, chol) in enumerate(group):
-                state._reserve(n)
-                state.cross[k0:n] = cross_stack[i]
-                state.v[k0:n] = v_stack[i]
-                state.n = n
+                state.write_rows(k0, cross_stack[i], v_stack[i])
                 self.stats.kernel_evals += (n - k0) * m
                 self.stats.extensions += 1
 
@@ -535,15 +626,18 @@ class SurrogateEngine:
         """
         with telemetry.span("engine.posterior") as sp:
             started = time.perf_counter()
-            joint, states = self._entry(context)
             names = tuple(self._heads) if heads is None else tuple(heads)
             for name in names:
                 if name not in self._heads:
                     raise KeyError(
                         f"unknown head {name!r}; engine heads are {tuple(self._heads)}"
                     )
+            entry = self._entry(context)
+            joint = entry.joint
+            # Correlation blocks shared by same-kernel heads, this call only.
+            shared: dict = {}
             if self.batched and len(names) > 1:
-                means, variances = self._batched_moments(names, joint, states)
+                means, variances = self._batched_moments(names, entry, shared)
                 means = {name: means[name] for name in names}
                 variances = {name: variances[name] for name in names}
             else:
@@ -551,7 +645,7 @@ class SurrogateEngine:
                 variances = {}
                 for name in names:
                     means[name], variances[name] = self._head_moments(
-                        name, joint, states
+                        name, entry, shared
                     )
             self.stats.queries += 1
             self.stats.head_queries += len(names)

@@ -235,9 +235,9 @@ def engine_state(engine) -> dict:
     deterministic function of context + control grid).
     """
     entries = []
-    for key, (joint, states) in engine._cache.items():
+    for key, entry in engine._cache.items():
         heads = {}
-        for name, head_state in states.items():
+        for name, head_state in entry.states.items():
             n = head_state.n
             heads[name] = {
                 "n": int(n),
@@ -259,25 +259,31 @@ def restore_engine_state(engine, state: dict) -> None:
     """Restore a SurrogateEngine cache to an :func:`engine_state` snapshot.
 
     Must run *after* the per-head GP restores: the recreated entries'
-    ``factor_version`` stamps must describe the restored factors.
+    ``factor_version`` stamps must describe the restored factors.  The
+    running ``sum(v**2)`` of each head is recomputed from the restored
+    ``v`` (bit-identical to the live one), so the snapshot omits it.
     """
     engine._cache.clear()
     for entry in state["entries"]:
         context = _decode_array(entry["context"])
-        joint, states = engine._entry(context)
+        cached = engine._entry(context)
         for name, payload in entry["heads"].items():
             if name not in engine._heads:
                 raise SnapshotError(
                     f"snapshot engine cache names head {name!r} unknown "
                     f"to the engine ({sorted(engine._heads)})"
                 )
-            head_state = engine._state_for(name, joint, states)
-            n = int(payload["n"])
+            cross = _decode_array(payload["cross"])
+            v = _decode_array(payload["v"])
+            shape = (int(payload["n"]), cached.joint.shape[0])
+            if cross.shape != shape or v.shape != shape:
+                raise SnapshotError(
+                    f"snapshot engine cache rows of head {name!r} have "
+                    f"shapes {cross.shape} and {v.shape}, expected {shape}"
+                )
+            head_state = engine._state_for(name, cached)
             head_state.prior_var = _decode_array(payload["prior_var"])
-            head_state._reserve(n)
-            head_state.cross[:n] = _decode_array(payload["cross"])
-            head_state.v[:n] = _decode_array(payload["v"])
-            head_state.n = n
+            head_state.write_rows(0, cross, v)
             head_state.factor_version = int(payload["factor_version"])
 
 

@@ -5,15 +5,22 @@ Covers the tentpole invariants: engine posteriors match direct
 eviction, ``set_prior_mean``, ``fit`` and hyperparameter changes; the
 GP consistency invariant (incremental state equals a fresh ``fit`` on
 the retained data) parametrised over the direct and the engine path;
-cache/invalidation behaviour; and the batch/stat APIs.
+cache/invalidation behaviour; the per-head running sum of squares and
+the cross-head correlation reuse, both bit-exact; and the batch/stat
+APIs.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import state as snapshot
+from repro.core.backend import NumericsConfig
+from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 from repro.core.gp import GaussianProcess
-from repro.core.kernels import Matern
+from repro.core.kernels import RBF, Matern
 from repro.core.posterior import PosteriorBatch, SurrogateEngine
+from repro.core.sparse import make_eviction_policy
+from repro.testbed.config import CostWeights, ServiceConstraints, TestbedConfig
 
 CONTEXT_DIM = 3
 CONTROL_DIM = 4
@@ -318,6 +325,23 @@ class TestValidationAndStats:
         with pytest.raises(KeyError):
             engine.posterior(rng.random(CONTEXT_DIM), heads=("bogus",))
 
+    def test_unknown_head_leaves_cache_untouched(self):
+        """A bad head name fails before the context reaches the LRU."""
+        rng = np.random.default_rng(20)
+        engine, _ = make_engine(make_grid(rng), max_cached_contexts=2)
+        kept = [rng.random(CONTEXT_DIM) for _ in range(2)]
+        for context in kept:
+            engine.posterior(context)
+        cached = engine.n_cached_contexts
+        stats = engine.stats.snapshot()
+        order = list(engine._cache)
+        for context in (rng.random(CONTEXT_DIM), kept[0]):
+            with pytest.raises(KeyError):
+                engine.posterior(context, heads=("cost", "bogus"))
+        assert engine.n_cached_contexts == cached
+        assert engine.stats.snapshot() == stats
+        assert list(engine._cache) == order
+
     def test_context_shape_and_finiteness(self):
         rng = np.random.default_rng(15)
         engine, _ = make_engine(make_grid(rng))
@@ -368,3 +392,360 @@ class TestValidationAndStats:
         assert mean.shape == (grid.shape[0],)
         # std is cached after the first derivation.
         assert batch.std("cost") is batch.std("cost")
+
+
+# -- running sum of squares and shared correlation blocks ---------------
+
+
+def assert_vsq_exact(engine):
+    """Every cached Σv² equals a fresh axis-0 sum over its rows, bitwise."""
+    checked = 0
+    states = (item for entry in engine._cache.values()
+              for item in entry.states.items())
+    for name, state in states:
+        expected = np.sum(state.v[: state.n] ** 2, axis=0)
+        assert np.array_equal(state.vsq, expected), name
+        checked += 1
+    assert checked
+
+
+def sweep_checking_cross(engine, context):
+    """``engine.posterior`` plus a bitwise check of the rows it wrote.
+
+    Rows ``k0..n`` that a call adds to a head's cache must equal
+    ``gp.kernel(x[k0:n], joint)`` exactly, where ``k0`` is the cached
+    row count before the call (0 after a rebuild).
+    """
+    key = np.asarray(context, dtype=float).ravel().tobytes()
+    entry = engine._cache.get(key)
+    before = {} if entry is None else {
+        name: (state.n, state.factor_version)
+        for name, state in entry.states.items()
+    }
+    batch = engine.posterior(context)
+    entry = engine._cache[key]
+    for name in batch.heads:
+        gp = engine.heads[name]
+        x = gp._posterior_state()[0]
+        if x is None:
+            continue
+        state = entry.states[name]
+        n0, version = before.get(name, (0, -1))
+        k0 = n0 if version == state.factor_version else 0
+        assert state.n == x.shape[0]
+        assert np.array_equal(
+            state.cross[k0: state.n], gp.kernel(x[k0:], entry.joint)
+        ), name
+    return batch
+
+
+def solo_engines(heads, grid):
+    """One single-head engine per head: nothing to share with."""
+    return {
+        name: SurrogateEngine({name: gp}, grid, context_dim=CONTEXT_DIM)
+        for name, gp in heads.items()
+    }
+
+
+def assert_equals_solo(batch, solos, context):
+    """``batch`` equals each head's own engine bitwise.
+
+    Query the solo engines at the same points as the shared one so
+    both build their caches over the same row blocks.
+    """
+    for name, engine in solos.items():
+        solo = engine.posterior(context)
+        assert np.array_equal(batch.mean(name), solo.mean(name)), name
+        assert np.array_equal(batch.variance(name), solo.variance(name)), name
+
+
+def edgebol_like_heads():
+    """Cost and delay share one kernel's lengthscales; mAP has its own."""
+    shared = np.linspace(0.5, 1.2, CONTEXT_DIM + CONTROL_DIM)
+    own = np.linspace(1.4, 0.6, CONTEXT_DIM + CONTROL_DIM)
+    return {
+        "cost": GaussianProcess(Matern(shared, output_scale=3600.0),
+                                noise_variance=4.0),
+        "delay": GaussianProcess(Matern(shared, output_scale=0.0225),
+                                 noise_variance=4e-4, prior_mean=0.8),
+        "map": GaussianProcess(Matern(own, output_scale=0.0225),
+                               noise_variance=4e-4),
+    }
+
+
+def dense_agent(**config):
+    """A small-grid EdgeBOL agent on the per-head (dense) engine path."""
+    return EdgeBOL(
+        TestbedConfig(n_levels=3).control_grid(), ServiceConstraints(),
+        CostWeights(1.0, 1.0),
+        config=EdgeBOLConfig(numerics=NumericsConfig(), **config),
+        context_dim=CONTEXT_DIM,
+    )
+
+
+class TestRunningSumOfSquares:
+    def test_axis0_sum_is_row_sequential(self):
+        """numpy adds axis-0 rows in order; the engine relies on it."""
+        rng = np.random.default_rng(30)
+        for n, m in ((1, 5), (2, 17), (9, 513), (64, 1000), (300, 2049)):
+            v = rng.normal(size=(n, m)) * rng.lognormal(size=(n, 1))
+            running = np.zeros(m)
+            for row in v**2:
+                running += row
+            assert np.array_equal(running, np.sum(v**2, axis=0)), (n, m)
+
+    def test_exact_through_the_engine_lifecycle(self):
+        rng = np.random.default_rng(31)
+        grid = make_grid(rng, n_points=700)
+        engine, heads = make_engine(grid, max_cached_contexts=2)
+        contexts = [rng.random(CONTEXT_DIM) for _ in range(3)]
+
+        def add(k):
+            for _ in range(k):
+                z = np.concatenate([rng.random(CONTEXT_DIM),
+                                    grid[rng.integers(grid.shape[0])]])
+                for gp in heads.values():
+                    gp.add(z, float(rng.normal()))
+
+        add(6)
+        engine.posterior(contexts[0])                  # cold rebuild
+        assert engine.stats.rebuilds == 3
+        assert_vsq_exact(engine)
+        add(1)
+        extensions = engine.stats.extensions
+        engine.posterior(contexts[0])                  # k = 1 extension
+        assert engine.stats.extensions == extensions + 3
+        assert_vsq_exact(engine)
+        add(4)
+        engine.posterior(contexts[0])                  # k > 1 extension
+        assert_vsq_exact(engine)
+        for t in range(9):                             # cycle past the LRU
+            add(1 + t % 3)
+            engine.posterior(contexts[t % 3])
+            assert_vsq_exact(engine)
+        assert engine.stats.lru_evictions > 0
+
+        cost = heads["cost"]
+        cost.fit(cost.inputs, cost.targets)            # refactorise
+        engine.posterior(contexts[0])
+        assert_vsq_exact(engine)
+        cost.kernel = Matern(                          # kernel swap
+            lengthscales=np.full(CONTEXT_DIM + CONTROL_DIM, 0.9),
+            output_scale=5.0,
+        )
+        cost.fit(cost.inputs, cost.targets)
+        engine.posterior(contexts[0])
+        assert_vsq_exact(engine)
+        add(2)
+        engine.posterior(contexts[0])
+        assert_vsq_exact(engine)
+
+        delay = heads["delay"]
+        delay.fit(np.empty((0, CONTEXT_DIM + CONTROL_DIM)), np.empty(0))
+        engine.posterior(contexts[0])                  # back to the prior
+        state = engine._cache[contexts[0].tobytes()].states["delay"]
+        assert state.n == 0
+        assert np.array_equal(state.vsq, np.zeros(grid.shape[0]))
+        assert_vsq_exact(engine)
+        add(3)                                         # and out of it
+        engine.posterior(contexts[0])
+        assert_vsq_exact(engine)
+        assert_matches_direct(engine, heads, contexts[0])
+
+        blob = snapshot.encode_snapshot(
+            {"engine": snapshot.engine_state(engine)}
+        )
+        restored = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM,
+                                   max_cached_contexts=2)
+        snapshot.restore_engine_state(
+            restored, snapshot.decode_snapshot(blob)["engine"]
+        )
+        assert_vsq_exact(restored)
+        assert list(restored._cache) == list(engine._cache)
+        for key, entry in engine._cache.items():
+            twin = restored._cache[key]
+            assert set(twin.states) == set(entry.states)
+            for name, state in entry.states.items():
+                assert np.array_equal(state.vsq, twin.states[name].vsq)
+        for context in contexts[1:]:
+            a, b = engine.posterior(context), restored.posterior(context)
+            for name in heads:
+                assert np.array_equal(a.variance(name), b.variance(name))
+                assert np.array_equal(a.mean(name), b.mean(name))
+
+
+class TestSharedCorrelation:
+    def test_rows_exact_and_map_never_reuses(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        grid = make_grid(rng, n_points=300)
+        heads = edgebol_like_heads()
+        engine = SurrogateEngine(heads, grid, context_dim=CONTEXT_DIM,
+                                 batched=False)
+        evaluations, inside = [], []
+        correlation, posterior = Matern._correlation, engine.posterior
+
+        def counting(kernel, distance):
+            if inside:
+                evaluations.append(kernel.lengthscales[0])
+            return correlation(kernel, distance)
+
+        def counted(*args, **kwargs):
+            inside.append(True)
+            try:
+                return posterior(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Matern, "_correlation", counting)
+        monkeypatch.setattr(engine, "posterior", counted)
+        solos = solo_engines(heads, grid)
+        contexts = [rng.random(CONTEXT_DIM) for _ in range(3)]
+        for t in range(24):
+            context = contexts[t % 3] if t < 12 else contexts[t % 2]
+            for _ in range(1 + t % 3):
+                z = np.concatenate([context, grid[rng.integers(300)]])
+                for gp in heads.values():
+                    gp.add(z, float(rng.normal()))
+            evaluations.clear()
+            batch = sweep_checking_cross(engine, context)
+            # One block for cost+delay, one for mAP: never one for all.
+            assert sorted(evaluations) == sorted(
+                [heads["cost"].kernel.lengthscales[0],
+                 heads["map"].kernel.lengthscales[0]]
+            )
+            assert_equals_solo(batch, solos, context)
+        # kernel_evals still counts every head's entries.
+        assert engine.stats.kernel_evals == sum(
+            solo.stats.kernel_evals for solo in solos.values()
+        )
+
+    def test_equal_kernels_different_inputs_do_not_reuse(self):
+        rng = np.random.default_rng(41)
+        grid = make_grid(rng)
+        heads = {"a": make_gp(output_scale=2.0), "b": make_gp(output_scale=2.0)}
+        engine, _ = make_engine(grid, heads=heads, batched=False)
+        x = rng.random((8, CONTEXT_DIM + CONTROL_DIM))
+        heads["a"].fit(x, rng.normal(size=8))
+        heads["b"].fit(x[::-1].copy(), rng.normal(size=8))
+        context = rng.random(CONTEXT_DIM)
+        sweep_checking_cross(engine, context)
+        z = np.concatenate([context, grid[0]])
+        heads["a"].add(z, 0.5)
+        heads["b"].add(z + 0.01, 0.5)
+        sweep_checking_cross(engine, context)
+        assert_matches_direct(engine, heads, context)
+
+    def test_sparse_policies_keep_different_inputs(self):
+        rng = np.random.default_rng(42)
+        grid = make_grid(rng)
+        scales = np.full(CONTEXT_DIM + CONTROL_DIM, 0.7)
+        heads = {
+            name: make_gp(max_observations=10, eviction_block=4,
+                          eviction_policy=make_eviction_policy(
+                              scales, recent_fraction=fraction))
+            for name, fraction in (("cost", 0.2), ("delay", 0.8))
+        }
+        engine, _ = make_engine(grid, heads=heads, batched=False)
+        context = rng.random(CONTEXT_DIM)
+        diverged = False
+        for t in range(40):
+            z = np.concatenate([rng.random(CONTEXT_DIM), grid[t % 60]])
+            for gp in heads.values():
+                gp.add(z, float(rng.normal()))
+            sweep_checking_cross(engine, context)
+            a, b = (gp._posterior_state()[0] for gp in heads.values())
+            diverged |= a.shape == b.shape and not np.array_equal(a, b)
+        assert diverged
+        assert heads["cost"].evictions and heads["delay"].evictions
+        assert_matches_direct(engine, heads, context)
+
+    def test_kernel_family_is_part_of_the_key(self):
+        rng = np.random.default_rng(43)
+        grid = make_grid(rng)
+        scales = np.full(CONTEXT_DIM + CONTROL_DIM, 0.7)
+        heads = {
+            "matern": GaussianProcess(Matern(scales), noise_variance=0.01),
+            "rbf": GaussianProcess(RBF(scales), noise_variance=0.01),
+            "nu52": GaussianProcess(Matern(scales, nu=2.5),
+                                    noise_variance=0.01),
+        }
+        engine, _ = make_engine(grid, heads=heads, batched=False)
+        context = rng.random(CONTEXT_DIM)
+        for t in range(5):
+            z = np.concatenate([context, grid[t]])
+            for gp in heads.values():
+                gp.add(z, float(t))
+            sweep_checking_cross(engine, context)
+        # One scaled grid serves all three: it depends on lengthscales only.
+        assert len(engine._cache[context.tobytes()].scaled) == 1
+
+    def test_no_stale_scaled_grid_after_hyperparameter_fit(self):
+        rng = np.random.default_rng(44)
+        agent = dense_agent()
+        engine = agent.engine
+        grid = agent.control_grid
+        contexts = [rng.random(CONTEXT_DIM) for _ in range(2)]
+        for t in range(6):
+            z = np.concatenate([contexts[t % 2], grid[t]])
+            for gp in engine.heads.values():
+                gp.add(z, float(rng.random()))
+            sweep_checking_cross(engine, contexts[t % 2])
+        x = rng.random((12, CONTEXT_DIM + CONTROL_DIM))
+        agent.fit_hyperparameters(x, rng.random(12), rng.random(12),
+                                  rng.random(12), n_restarts=0, rng=0)
+        live = {gp.kernel.lengthscales.tobytes()
+                for gp in engine.heads.values()}
+        for context in contexts:
+            sweep_checking_cross(engine, context)
+            assert set(engine._cache[context.tobytes()].scaled) <= live
+        assert_matches_direct(engine, engine.heads, contexts[0])
+
+
+class TestFiveHeadsAndBatched:
+    def test_decoupled_power_heads_match_solo_engines(self):
+        rng = np.random.default_rng(50)
+        agent = dense_agent(decoupled_power_gps=True)
+        engine = agent.engine
+        heads = engine.heads
+        assert len(heads) == 5
+        grid = agent.control_grid
+        solos = solo_engines(heads, grid)
+        contexts = [rng.random(CONTEXT_DIM) for _ in range(2)]
+        for t in range(10):
+            z = np.concatenate([contexts[t % 2], grid[t]])
+            for gp in heads.values():
+                gp.add(z, float(rng.random()))
+            batch = sweep_checking_cross(engine, contexts[t % 2])
+            assert_equals_solo(batch, solos, contexts[t % 2])
+
+    def test_batched_matches_dense_with_five_heads(self):
+        rng = np.random.default_rng(51)
+        grid = make_grid(rng)
+        dense_heads = edgebol_like_heads()
+        batched_heads = edgebol_like_heads()
+        for extra in (dense_heads, batched_heads):
+            scales = extra["cost"].kernel.lengthscales
+            extra["server"] = GaussianProcess(
+                Matern(scales, output_scale=1600.0), noise_variance=6.0)
+            extra["bs"] = GaussianProcess(
+                Matern(scales, output_scale=2.25), noise_variance=0.01)
+        dense = SurrogateEngine(dense_heads, grid, context_dim=CONTEXT_DIM,
+                                batched=False)
+        batched = SurrogateEngine(batched_heads, grid,
+                                  context_dim=CONTEXT_DIM, batched=True)
+        contexts = [rng.random(CONTEXT_DIM) for _ in range(3)]
+        for t in range(15):
+            z = np.concatenate([contexts[t % 3], grid[t]])
+            y = float(rng.normal())
+            for heads in (dense_heads, batched_heads):
+                for gp in heads.values():
+                    gp.add(z, y)
+            d = dense.posterior(contexts[t % 3])
+            b = batched.posterior(contexts[t % 3])
+            assert_vsq_exact(batched)
+            for name in dense_heads:
+                np.testing.assert_allclose(b.mean(name), d.mean(name),
+                                           atol=TOL, rtol=0)
+                np.testing.assert_allclose(b.variance(name),
+                                           d.variance(name), atol=TOL, rtol=0)
+        assert batched.stats.kernel_evals == dense.stats.kernel_evals

@@ -160,6 +160,15 @@ class TestEngineCacheState:
         with pytest.raises(state.SnapshotError, match="bogus"):
             state.restore_engine_state(agent._engine, snap)
 
+    def test_row_count_mismatch_in_cache_is_rejected(self):
+        env, agent = make_world(seed=2)
+        run_periods(env, agent, 2)
+        snap = state.engine_state(agent._engine)
+        payload = next(iter(snap["entries"][0]["heads"].values()))
+        payload["n"] += 1
+        with pytest.raises(state.SnapshotError, match="rows"):
+            state.restore_engine_state(agent._engine, snap)
+
 
 class TestEnvState:
     def test_channel_and_measurement_streams_restore(self):
