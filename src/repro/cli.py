@@ -103,8 +103,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="array backend for the GP stack (default numpy; see "
-             "docs/NUMERICS.md for registering cupy/torch)",
+        help="array backend for the GP stack; only numpy is accepted "
+             "(kept for store keys and checkpoints)",
     )
     parser.add_argument(
         "--store", type=Path, default=None, metavar="DIR",

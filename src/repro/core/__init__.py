@@ -9,14 +9,9 @@ online loop of Algorithm 1.
 
 from repro.core.alternative import PowerBudgetedEdgeBOL, PowerBudgets
 from repro.core.backend import (
-    ArrayBackend,
     NumericsConfig,
-    NumpyBackend,
     active_numerics,
-    available_backends,
-    get_backend,
     install_numerics,
-    register_backend,
     uninstall_numerics,
     use_numerics,
 )
@@ -33,14 +28,9 @@ from repro.core.acquisition import safe_lcb_index, safe_lcb_index_from_posterior
 from repro.core.edgebol import EdgeBOL, EdgeBOLConfig
 
 __all__ = [
-    "ArrayBackend",
     "NumericsConfig",
-    "NumpyBackend",
     "active_numerics",
-    "available_backends",
-    "get_backend",
     "install_numerics",
-    "register_backend",
     "uninstall_numerics",
     "use_numerics",
     "greedy_inducing_indices",

@@ -1,31 +1,28 @@
-"""Pluggable array/linear-algebra backend for the GP numeric core.
+"""Numerics-mode configuration for the GP stack.
 
-Every array operation the GP stack performs — kernel algebra in
-:mod:`repro.core.kernels`, Cholesky factorisation in
-:mod:`repro.core.numerics`, posterior solves in :mod:`repro.core.gp`
-and the grid sweeps of :mod:`repro.core.posterior` — routes through a
-small array-API-style protocol (:class:`ArrayBackend`: ``matmul``,
-``einsum``, ``stack``, ``cholesky``, ``solve_triangular``,
-``cho_solve``).  The default :class:`NumpyBackend` delegates to the
-exact numpy/scipy routines the pre-refactor code called, so dense runs
-stay bit-identical; a cupy or torch backend drops in later by
-registering a factory under a new name without touching any caller.
+The GP stack calls numpy and scipy directly (kernel algebra in
+:mod:`repro.core.kernels`, factorisation and the LAPACK solve helpers
+in :mod:`repro.core.numerics`, the rank-1 updates in
+:mod:`repro.core.gp`, the grid sweeps in :mod:`repro.core.posterior`);
+there is one array backend, ``numpy``.
 
-The module also owns :class:`NumericsConfig` — the process-wide
-description of the active numerics *mode* (array backend, stacked
-multi-head solves, sparse observation budget) — resolved in priority
-order from an explicitly installed config (:func:`install_numerics` /
+This module owns :class:`NumericsConfig` — the process-wide
+description of the active numerics *mode* (stacked multi-head solves,
+sparse observation budget) — resolved in priority order from an
+explicitly installed config (:func:`install_numerics` /
 :func:`use_numerics`), then from environment variables, then from the
-dense-numpy defaults.  Environment-variable selection is what lets a
-CI leg force the batched path on for the whole test suite, and what
-carries a CLI ``--numerics`` choice into sweep worker processes (the
-environment is inherited; an installed config is not).
+dense defaults.  Environment-variable selection is what lets a CI leg
+force the batched path on for the whole test suite, and what carries a
+CLI ``--numerics`` choice into sweep worker processes (the environment
+is inherited; an installed config is not).  Consumers resolve the
+config once, when an agent or engine is built.
 
 Environment variables
 ---------------------
 
 ``REPRO_NUMERICS_BACKEND``
-    Array backend name (default ``numpy``).
+    Array backend name; only ``numpy`` is accepted.  The field stays
+    so store keys and checkpoints keep their layout.
 ``REPRO_BATCHED_HEADS``
     ``1``/``true`` enables stacked multi-head grid solves in
     :class:`~repro.core.posterior.SurrogateEngine`.
@@ -40,24 +37,12 @@ See ``docs/NUMERICS.md`` for the full selection and trade-off guide.
 
 from __future__ import annotations
 
-import abc
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy.linalg import cho_solve as _scipy_cho_solve
-from scipy.linalg import cholesky as _scipy_cholesky
-from scipy.linalg import solve_triangular as _scipy_solve_triangular
-
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
     "NumericsConfig",
-    "register_backend",
-    "available_backends",
-    "get_backend",
     "active_numerics",
     "install_numerics",
     "uninstall_numerics",
@@ -69,7 +54,7 @@ __all__ = [
     "ENV_BUDGET",
 ]
 
-#: Environment variable selecting the array backend by name.
+#: Environment variable naming the array backend (only ``numpy``).
 ENV_BACKEND = "REPRO_NUMERICS_BACKEND"
 #: Environment variable enabling stacked multi-head solves ("1"/"true").
 ENV_BATCHED = "REPRO_BATCHED_HEADS"
@@ -82,249 +67,6 @@ ENV_BUDGET = "REPRO_GP_BUDGET"
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
-class ArrayBackend(abc.ABC):
-    """Array-API-style protocol for the GP stack's linear algebra.
-
-    A backend bundles an array namespace (:attr:`xp`: ``numpy``-like
-    module used for element-wise math, reductions and construction)
-    with the dense linear-algebra primitives the GP stack needs.  The
-    batched variants accept a leading stack dimension — ``(H, n, n)``
-    factors against ``(H, n, m)`` right-hand sides — which is how the
-    multi-head engine issues one solve across heads.
-    """
-
-    #: Registry name of the backend (e.g. ``"numpy"``).
-    name: str = "abstract"
-
-    @property
-    @abc.abstractmethod
-    def xp(self):
-        """The backend's array namespace (``numpy``-compatible module)."""
-
-    @abc.abstractmethod
-    def asarray(self, a, dtype=float):
-        """Coerce ``a`` to a backend array of the given dtype."""
-
-    @abc.abstractmethod
-    def matmul(self, a, b):
-        """Matrix product, broadcasting over leading stack dimensions."""
-
-    @abc.abstractmethod
-    def einsum(self, subscripts: str, *operands):
-        """Einstein summation over backend arrays."""
-
-    @abc.abstractmethod
-    def stack(self, arrays, axis: int = 0):
-        """Join same-shape arrays along a new axis."""
-
-    @abc.abstractmethod
-    def cholesky(self, a, lower: bool = True):
-        """Cholesky factor of a (stack of) positive-definite matrices.
-
-        Raises ``numpy.linalg.LinAlgError`` (or the backend's
-        equivalent, which callers must translate) when the matrix is
-        not positive definite — the degradation ladder in
-        :func:`repro.core.numerics.robust_cholesky` depends on it.
-        """
-
-    @abc.abstractmethod
-    def solve_triangular(self, a, b, lower: bool = True):
-        """Solve ``a x = b`` for triangular ``a``; 2-D or stacked 3-D."""
-
-    @abc.abstractmethod
-    def cho_solve(self, chol, b, lower: bool = True):
-        """Solve ``A x = b`` given the Cholesky factor of ``A``."""
-
-
-class NumpyBackend(ArrayBackend):
-    """Default backend: numpy arrays, scipy dense linear algebra.
-
-    Delegates to exactly the routines the pre-backend code called
-    (``scipy.linalg.cholesky`` / ``solve_triangular`` / ``cho_solve``,
-    ``numpy`` for everything else) so dense results are bit-identical
-    to the pre-refactor implementation.  Batched calls loop over the
-    leading stack dimension — numpy has no native batched triangular
-    solve — which still amortises the per-call Python overhead for the
-    engine's grouped multi-head systems.
-    """
-
-    name = "numpy"
-
-    @property
-    def xp(self):
-        """The ``numpy`` module."""
-        return np
-
-    def asarray(self, a, dtype=float):
-        """``numpy.asarray`` with a float default dtype."""
-        return np.asarray(a, dtype=dtype)
-
-    def matmul(self, a, b):
-        """``numpy.matmul`` (stacked GEMM for 3-D operands)."""
-        return np.matmul(a, b)
-
-    def einsum(self, subscripts: str, *operands):
-        """``numpy.einsum``."""
-        return np.einsum(subscripts, *operands)
-
-    def stack(self, arrays, axis: int = 0):
-        """``numpy.stack``."""
-        return np.stack(arrays, axis=axis)
-
-    def cholesky(self, a, lower: bool = True):
-        """``scipy.linalg.cholesky``, looped over a stacked leading axis."""
-        a = np.asarray(a)
-        if a.ndim == 2:
-            return _scipy_cholesky(a, lower=lower)
-        return np.stack([_scipy_cholesky(m, lower=lower) for m in a])
-
-    def solve_triangular(self, a, b, lower: bool = True):
-        """``scipy.linalg.solve_triangular``, looped over a stacked axis."""
-        a = np.asarray(a)
-        if a.ndim == 2:
-            return _scipy_solve_triangular(a, b, lower=lower)
-        b = np.asarray(b)
-        return np.stack([
-            _scipy_solve_triangular(m, rhs, lower=lower)
-            for m, rhs in zip(a, b)
-        ])
-
-    def cho_solve(self, chol, b, lower: bool = True):
-        """``scipy.linalg.cho_solve`` on one factored system."""
-        return _scipy_cho_solve((chol, lower), b)
-
-
-class _MissingDependencyBackend(ArrayBackend):
-    """Placeholder for a backend whose library is not installed.
-
-    Registered under the real name so ``available_backends`` can
-    advertise it, but every use raises a clear, actionable error
-    instead of an ``ImportError`` deep inside a solve.
-    """
-
-    def __init__(self, name: str, module: str) -> None:
-        """Record the backend ``name`` and the missing ``module``."""
-        self.name = name
-        self._module = module
-
-    def _unavailable(self):
-        raise RuntimeError(
-            f"array backend '{self.name}' requires the '{self._module}' "
-            f"package, which is not installed in this environment; install "
-            f"it or select the 'numpy' backend (unset {ENV_BACKEND})"
-        )
-
-    @property
-    def xp(self):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-    def asarray(self, a, dtype=float):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-    def matmul(self, a, b):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-    def einsum(self, subscripts: str, *operands):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-    def stack(self, arrays, axis: int = 0):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-    def cholesky(self, a, lower: bool = True):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-    def solve_triangular(self, a, b, lower: bool = True):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-    def cho_solve(self, chol, b, lower: bool = True):
-        """Raises: the backing library is not installed."""
-        self._unavailable()
-
-
-def _make_cupy_backend() -> ArrayBackend:
-    """CuPy backend when importable, else an explanatory placeholder."""
-    try:
-        import cupy  # noqa: F401
-    except ImportError:
-        return _MissingDependencyBackend("cupy", "cupy")
-    raise RuntimeError(
-        "the cupy backend is registered but not yet implemented; "
-        "register a custom ArrayBackend under the 'cupy' name"
-    )  # pragma: no cover - requires cupy installed
-
-
-def _make_torch_backend() -> ArrayBackend:
-    """Torch backend when importable, else an explanatory placeholder."""
-    try:
-        import torch  # noqa: F401
-    except ImportError:
-        return _MissingDependencyBackend("torch", "torch")
-    raise RuntimeError(
-        "the torch backend is registered but not yet implemented; "
-        "register a custom ArrayBackend under the 'torch' name"
-    )  # pragma: no cover - requires torch installed
-
-
-#: Backend factories by name (instantiated lazily, cached).
-_FACTORIES: dict = {
-    "numpy": NumpyBackend,
-    "cupy": _make_cupy_backend,
-    "torch": _make_torch_backend,
-}
-_INSTANCES: dict = {}
-_LOCK = threading.Lock()
-
-
-def register_backend(name: str, factory) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    ``factory`` is a zero-argument callable returning an
-    :class:`ArrayBackend`; instantiation is lazy and cached.
-    """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    with _LOCK:
-        _FACTORIES[str(name)] = factory
-        _INSTANCES.pop(str(name), None)
-
-
-def available_backends() -> tuple:
-    """Registered backend names, in registration order."""
-    return tuple(_FACTORIES)
-
-
-def get_backend(name: str | None = None) -> ArrayBackend:
-    """The backend instance for ``name`` (default: the active config's).
-
-    Unknown names raise ``KeyError`` listing the registered backends.
-    """
-    if name is None:
-        name = active_numerics().backend
-    with _LOCK:
-        backend = _INSTANCES.get(name)
-        if backend is None:
-            try:
-                factory = _FACTORIES[name]
-            except KeyError:
-                raise KeyError(
-                    f"unknown array backend '{name}' (registered: "
-                    f"{', '.join(_FACTORIES)})"
-                ) from None
-            backend = factory()
-            _INSTANCES[name] = backend
-    return backend
-
-
-# -- numerics-mode configuration ----------------------------------------
-
-
 @dataclass(frozen=True)
 class NumericsConfig:
     """Process-level description of the GP numerics mode.
@@ -332,7 +74,8 @@ class NumericsConfig:
     Attributes
     ----------
     backend:
-        Array backend name (see :func:`available_backends`).
+        Array backend name.  ``"numpy"`` is the only backend; any other
+        value is rejected.
     batched_heads:
         Evaluate multi-head grid sweeps through stacked linear-algebra
         calls (one grouped cross-kernel build + one batched triangular
@@ -370,7 +113,13 @@ class NumericsConfig:
     variance_inflation: float = 1.0
 
     def __post_init__(self) -> None:
-        """Validate budgets, fractions and the inflation factor."""
+        """Validate the backend, budgets, fractions and inflation factor."""
+        if self.backend != "numpy":
+            raise ValueError(
+                f"array backend {self.backend!r} is not available: the GP "
+                f"stack runs on numpy only; select the 'numpy' backend "
+                f"(unset {ENV_BACKEND} or drop --backend)"
+            )
         if self.sparse_budget < 1:
             raise ValueError(
                 f"sparse_budget must be >= 1, got {self.sparse_budget}"

@@ -122,8 +122,8 @@ class EdgeBOLConfig:
         ``numerics``.
     numerics:
         Numerics-mode override (:class:`~repro.core.backend.
-        NumericsConfig`): array backend, batched multi-head solves and
-        the sparse observation budget.  ``None`` (default) follows the
+        NumericsConfig`): batched multi-head solves and the sparse
+        observation budget.  ``None`` (default) follows the
         process-wide :func:`~repro.core.backend.active_numerics`
         resolution (installed config, else environment variables, else
         dense numpy) — which is how the experiment CLIs' ``--numerics``
@@ -252,7 +252,7 @@ class EdgeBOL:
         self._gp_fault_hook = (
             gp_injector.gp_hook if gp_injector is not None else None
         )
-        # Numerics mode (backend / batched sweeps / sparse budget): an
+        # Numerics mode (batched sweeps / sparse budget): an
         # explicit config wins, else the process-wide resolution
         # (installed config > environment > dense-numpy defaults).
         self.numerics = (

@@ -5,7 +5,10 @@ Cholesky factorisation of ``K + zeta^2 I``:
 
 * adding one observation is an O(N^2) rank-1 extension of the factor
   (no refactorisation), which keeps the per-period cost of Algorithm 1
-  quadratic rather than cubic;
+  quadratic rather than cubic.  Inputs, targets and the factor live in
+  capacity-doubled buffers, so an extension writes one row of each in
+  place: one kernel row, one ``trtrs`` and one ``potrs`` per
+  observation;
 * an optional observation budget evicts the oldest points in blocks
   (subset-of-data), bounding memory and per-period cost for very long
   runs such as the 3000-period comparison of Fig. 14;
@@ -23,12 +26,26 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from scipy.linalg import cholesky
 
-from repro.core.backend import get_backend
 from repro.core.kernels import Kernel
-from repro.core.numerics import NumericalInstabilityError, robust_cholesky
+from repro.core.numerics import (
+    NumericalInstabilityError,
+    cho_solve_lower,
+    robust_cholesky,
+    solve_lower,
+)
 from repro.telemetry import runtime as telemetry
 from repro.utils.validation import check_finite_array, check_positive
+
+
+def grown_capacity(rows: int, capacity: int) -> int:
+    """Rows a ``capacity``-row buffer grows to when it must hold ``rows``.
+
+    Doubling amortises the copies; the GP buffers and the posterior
+    engine's cached rows share this policy.
+    """
+    return max(rows, 2 * capacity, 8)
 
 
 class GaussianProcess:
@@ -78,6 +95,8 @@ class GaussianProcess:
         eviction_policy=None,
     ) -> None:
         self._factor_version = 0
+        self._seat(None, None, None)
+        self._alpha: np.ndarray | None = None
         self.kernel = kernel
         self.noise_variance = noise_variance
         if not np.isfinite(prior_mean):
@@ -92,15 +111,28 @@ class GaussianProcess:
         self.eviction_policy = eviction_policy
         self._evictions = 0
         self._fault_hook = fault_hook
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
-        self._alpha: np.ndarray | None = None
         self._jitter_retries = 0
         self._rank1_fallbacks = 0
         self._last_jitter = 0.0
 
     # -- state ----------------------------------------------------------
+
+    def _seat(self, x, y, chol) -> None:
+        """Adopt ``x``/``y``/``chol`` as the buffers, at capacity ``n``.
+
+        ``_x``/``_y``/``_chol`` are always the leading ``n``-row blocks
+        of ``_xbuf``/``_ybuf``/``_cbuf``; the next :meth:`add` grows the
+        buffers.  Until then a factor keeps the memory order it came
+        with, which decides the LAPACK call of that add's solve.
+        """
+        self._xbuf = self._x = x
+        self._ybuf = self._y = y
+        self._cbuf = self._chol = chol
+
+    def _invalidate_factor(self) -> None:
+        """Drop the factor for a new lineage; the data is kept."""
+        self._cbuf = self._chol = self._alpha = None
+        self._factor_version += 1
 
     @property
     def kernel(self) -> Kernel:
@@ -109,7 +141,7 @@ class GaussianProcess:
     @kernel.setter
     def kernel(self, kernel: Kernel) -> None:
         self._kernel = kernel
-        self._factor_version += 1
+        self._invalidate_factor()
 
     @property
     def noise_variance(self) -> float:
@@ -118,7 +150,7 @@ class GaussianProcess:
     @noise_variance.setter
     def noise_variance(self, noise_variance: float) -> None:
         self._noise_variance = check_positive(noise_variance, "noise_variance")
-        self._factor_version += 1
+        self._invalidate_factor()
 
     @property
     def factor_version(self) -> int:
@@ -128,7 +160,8 @@ class GaussianProcess:
         the first N points is a leading principal block of the extended
         one, so caches keyed on it can grow incrementally); anything that
         rebuilds or invalidates the factor — :meth:`fit`, eviction, a
-        kernel or noise change — bumps it.
+        kernel or noise change (which drops the factor until the next
+        :meth:`fit` or :meth:`add`) — bumps it.
         """
         return self._factor_version
 
@@ -156,9 +189,10 @@ class GaussianProcess:
     def factor_available(self) -> bool:
         """Whether a usable Cholesky factor exists for the current data.
 
-        ``False`` only after a factorisation exhausted the jitter ladder
-        (:class:`~repro.core.numerics.NumericalInstabilityError`); a
-        successful :meth:`fit` over the retained data restores it.
+        ``False`` after a factorisation exhausted the jitter ladder
+        (:class:`~repro.core.numerics.NumericalInstabilityError`) or a
+        kernel or noise change on a GP holding data; a successful
+        :meth:`fit` (or :meth:`add`) over the retained data restores it.
         """
         return self._x is None or self._chol is not None
 
@@ -167,6 +201,8 @@ class GaussianProcess:
 
         Internal hot-path accessor for :class:`~repro.core.posterior.
         SurrogateEngine`; callers must treat the arrays as read-only.
+        They are views of the buffers, and keep their values: later adds
+        write only rows past them, and growth or a rebuild re-seats.
         """
         return self._x, self._chol, self._alpha, self._factor_version
 
@@ -200,9 +236,7 @@ class GaussianProcess:
             raise ValueError(f"prior_mean must be finite, got {prior_mean}")
         self.prior_mean = float(prior_mean)
         if self._y is not None and self._chol is not None:
-            self._alpha = get_backend().cho_solve(
-                self._chol, self._y - self.prior_mean, lower=True
-            )
+            self._alpha = cho_solve_lower(self._chol, self._y - self.prior_mean)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> None:
         """Replace the training set and refactorise (O(N^3) Cholesky)."""
@@ -224,11 +258,10 @@ class GaussianProcess:
             if sp:
                 sp.set("n", int(y.size))
             if y.size == 0:
-                self._x = self._y = self._chol = self._alpha = None
-                self._factor_version += 1
+                self._seat(None, None, None)
+                self._invalidate_factor()
                 return
-            self._x = x.copy()
-            self._y = y.copy()
+            self._seat(x.copy(), y.copy(), None)
             self._refactorize()
 
     def add(self, x_new: np.ndarray, y_new: float) -> None:
@@ -268,8 +301,7 @@ class GaussianProcess:
             # escalates jitter on its own if needed.
             self._rank1_fallbacks += 1
             telemetry.inc("core.gp.rank1_fallbacks")
-            self._x = np.vstack([self._x, x_new[None, :]])
-            self._y = np.append(self._y, float(y_new))
+            self._append(x_new, y_new)
             self._refactorize()
         self._maybe_evict()
 
@@ -288,11 +320,10 @@ class GaussianProcess:
                 self._fault_hook("rank1", 0)
             except np.linalg.LinAlgError:
                 return False
-        backend = get_backend()
         cross = self.kernel(self._x, x_new[None, :]).ravel()
         self_var = float(self.kernel.diag(x_new[None, :])[0]) + self.noise_variance
         try:
-            row = backend.solve_triangular(self._chol, cross, lower=True)
+            row = solve_lower(self._chol, cross)
         except np.linalg.LinAlgError:
             return False
         pivot_sq = self_var - float(row @ row)
@@ -304,18 +335,33 @@ class GaussianProcess:
         # duplicated input point.
         pivot = np.sqrt(max(pivot_sq, 1e-12))
 
-        n = self.n_observations
-        chol = np.zeros((n + 1, n + 1))
-        chol[:n, :n] = self._chol
-        chol[n, :n] = row
-        chol[n, n] = pivot
-        self._chol = chol
-        self._x = np.vstack([self._x, x_new[None, :]])
-        self._y = np.append(self._y, float(y_new))
-        self._alpha = backend.cho_solve(
-            self._chol, self._y - self.prior_mean, lower=True
-        )
+        n = self._y.size
+        if n == self._cbuf.shape[0]:
+            capacity = grown_capacity(n + 1, n)
+            grown = np.zeros((capacity, capacity))
+            grown[:n, :n] = self._chol
+            self._cbuf = grown
+        self._cbuf[n, :n] = row
+        self._cbuf[n, n] = pivot
+        self._chol = self._cbuf[: n + 1, : n + 1]
+        self._append(x_new, y_new)
+        self._alpha = cho_solve_lower(self._chol, self._y - self.prior_mean)
         return True
+
+    def _append(self, x_new: np.ndarray, y_new: float) -> None:
+        """Write one observation into row ``n`` of the data buffers."""
+        n = self._y.size
+        if n == self._ybuf.shape[0]:
+            capacity = grown_capacity(n + 1, n)
+            xbuf = np.empty((capacity, self._x.shape[1]))
+            xbuf[:n] = self._x
+            ybuf = np.empty(capacity)
+            ybuf[:n] = self._y
+            self._xbuf, self._ybuf = xbuf, ybuf
+        self._xbuf[n] = x_new
+        self._ybuf[n] = y_new
+        self._x = self._xbuf[: n + 1]
+        self._y = self._ybuf[: n + 1]
 
     def _maybe_evict(self) -> None:
         if self.max_observations is None:
@@ -324,8 +370,7 @@ class GaussianProcess:
             return
         if self.eviction_policy is None:
             keep = self.n_observations - self.eviction_block
-            self._x = self._x[-keep:]
-            self._y = self._y[-keep:]
+            self._seat(self._x[-keep:], self._y[-keep:], None)
         else:
             indices = np.asarray(
                 self.eviction_policy(self._x, self._y, self.max_observations),
@@ -338,8 +383,7 @@ class GaussianProcess:
                     f"shape {indices.shape} for n={self.n_observations}"
                 )
             indices = np.unique(indices)  # sorted: preserves arrival order
-            self._x = self._x[indices]
-            self._y = self._y[indices]
+            self._seat(self._x[indices], self._y[indices], None)
         self._evictions += 1
         telemetry.inc("core.gp.evictions")
         self._refactorize()
@@ -361,15 +405,12 @@ class GaussianProcess:
                 gram, fault_hook=self._fault_hook, site="refactorize"
             )
         except NumericalInstabilityError:
-            self._chol = self._alpha = None
-            self._factor_version += 1
+            self._invalidate_factor()
             raise
         self._jitter_retries += retries
         self._last_jitter = jitter
-        self._chol = chol
-        self._alpha = get_backend().cho_solve(
-            self._chol, self._y - self.prior_mean, lower=True
-        )
+        self._cbuf = self._chol = chol
+        self._alpha = cho_solve_lower(chol, self._y - self.prior_mean)
         self._factor_version += 1
 
     # -- prediction -----------------------------------------------------
@@ -399,12 +440,12 @@ class GaussianProcess:
         if self._chol is None:
             raise NumericalInstabilityError(
                 "posterior unavailable: the Cholesky factor was invalidated "
-                "by a failed refactorisation; call fit() to rebuild it"
+                "by a failed refactorisation or a kernel/noise change; call "
+                "fit() to rebuild it"
             )
-        backend = get_backend()
         cross = self.kernel(self._x, x_star)
         mean = self.prior_mean + cross.T @ self._alpha
-        v = backend.solve_triangular(self._chol, cross, lower=True)
+        v = solve_lower(self._chol, cross)
         variance = np.maximum(prior_var - np.sum(v**2, axis=0), 0.0)
         return mean, variance
 
@@ -421,14 +462,13 @@ class GaussianProcess:
         x_star = np.asarray(x_star, dtype=float)
         if x_star.ndim == 1:
             x_star = x_star[None, :]
-        backend = get_backend()
         mean, _ = self.predict(x_star)
         cov = self.kernel(x_star, x_star)
         if self._x is not None:
             cross = self.kernel(self._x, x_star)
-            v = backend.solve_triangular(self._chol, cross, lower=True)
+            v = solve_lower(self._chol, cross)
             cov = cov - v.T @ v
         cov[np.diag_indices_from(cov)] += 1e-10
-        chol = backend.cholesky(cov, lower=True)
+        chol = cholesky(cov, lower=True)
         draws = generator.standard_normal((x_star.shape[0], n_samples))
         return mean[:, None] + chol @ draws

@@ -9,11 +9,8 @@ ablation study.
 All kernels expose their hyperparameters as a flat log-vector so the
 marginal-likelihood optimiser can treat them generically.
 
-Array math routes through the active :mod:`repro.core.backend` — the
-default numpy backend performs exactly the operations this module
-always performed, and :func:`stacked_cross` evaluates many same-family
-kernels against a shared grid in one batched pass for the multi-head
-posterior engine.
+:func:`stacked_cross` evaluates many same-family kernels against a
+shared grid in one batched pass for the multi-head posterior engine.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import abc
 
 import numpy as np
 
-from repro.core.backend import get_backend
 from repro.utils.validation import check_positive
 
 _SQRT3 = np.sqrt(3.0)
@@ -46,7 +42,7 @@ def scale_points(y: np.ndarray, lengthscales: np.ndarray):
     pass it to :func:`distance_from_scaled`.
     """
     ys = _as_2d(y) / lengthscales
-    return ys, get_backend().xp.sum(ys**2, axis=1)
+    return ys, np.sum(ys**2, axis=1)
 
 
 def distance_from_scaled(xs: np.ndarray, ys: np.ndarray,
@@ -57,14 +53,8 @@ def distance_from_scaled(xs: np.ndarray, ys: np.ndarray,
     is :func:`scale_points` of the grid; the result is exactly what
     :meth:`Kernel.scaled_distance` returns for the unscaled pair.
     """
-    bk = get_backend()
-    xp = bk.xp
-    sq = (
-        xp.sum(xs**2, axis=1)[:, None]
-        + ys_sq[None, :]
-        - 2.0 * bk.matmul(xs, ys.T)
-    )
-    return xp.sqrt(xp.maximum(sq, 0.0))
+    sq = np.sum(xs**2, axis=1)[:, None] + ys_sq[None, :] - 2.0 * (xs @ ys.T)
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 class Kernel(abc.ABC):
@@ -229,10 +219,8 @@ def stacked_cross(kernels, xs, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"kernels must share one batchable family, got keys {keys}"
         )
-    bk = get_backend()
-    xp = bk.xp
-    lengthscales = bk.stack([k.lengthscales for k in kernels])  # (H, d)
-    x_stack = bk.stack([_as_2d(x) for x in xs])                 # (H, n, d)
+    lengthscales = np.stack([k.lengthscales for k in kernels])  # (H, d)
+    x_stack = np.stack([_as_2d(x) for x in xs])                 # (H, n, d)
     y2d = _as_2d(y)
     if x_stack.shape[2] != lengthscales.shape[1] \
             or y2d.shape[1] != lengthscales.shape[1]:
@@ -243,13 +231,11 @@ def stacked_cross(kernels, xs, y: np.ndarray) -> np.ndarray:
     xs_s = x_stack / lengthscales[:, None, :]                   # (H, n, d)
     ys_s = y2d[None, :, :] / lengthscales[:, None, :]           # (H, m, d)
     sq = (
-        xp.sum(xs_s**2, axis=2)[:, :, None]
-        + xp.sum(ys_s**2, axis=2)[:, None, :]
-        - 2.0 * bk.matmul(xs_s, xp.swapaxes(ys_s, 1, 2))
+        np.sum(xs_s**2, axis=2)[:, :, None]
+        + np.sum(ys_s**2, axis=2)[:, None, :]
+        - 2.0 * (xs_s @ np.swapaxes(ys_s, 1, 2))
     )
-    distance = xp.sqrt(xp.maximum(sq, 0.0))
+    distance = np.sqrt(np.maximum(sq, 0.0))
     correlation = kernels[0]._correlation(distance)
-    output_scales = bk.stack(
-        [np.asarray(k.output_scale, dtype=float) for k in kernels]
-    )
+    output_scales = np.array([k.output_scale for k in kernels], dtype=float)
     return output_scales[:, None, None] * correlation

@@ -73,14 +73,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.backend import active_numerics, get_backend
-from repro.core.gp import GaussianProcess
+from repro.core.backend import active_numerics
+from repro.core.gp import GaussianProcess, grown_capacity
 from repro.core.kernels import (
     batch_key,
     distance_from_scaled,
     scale_points,
     stacked_cross,
 )
+from repro.core.numerics import solve_lower
 from repro.telemetry import runtime as telemetry
 
 
@@ -167,6 +168,17 @@ class PosteriorBatch:
         return self.means[head], self.std(head)
 
 
+def _solve_stacked(factors, rhs) -> np.ndarray:
+    """Lower-triangular solves of a head group, stacked on axis 0.
+
+    Each factor is solved as a slice of one C-ordered stack, so every
+    head takes the same LAPACK call whatever its own factor's layout.
+    """
+    return np.stack([
+        solve_lower(factor, b) for factor, b in zip(np.stack(factors), rhs)
+    ])
+
+
 class _HeadState:
     """Cached cross-kernel solves of one head against one joint grid.
 
@@ -218,7 +230,7 @@ class _HeadState:
         capacity = self.cross.shape[0]
         if rows <= capacity:
             return
-        new_capacity = max(rows, 2 * capacity, 8)
+        new_capacity = grown_capacity(rows, capacity)
         for name in ("cross", "v"):
             buffer = getattr(self, name)
             grown = np.empty((new_capacity, buffer.shape[1]))
@@ -426,8 +438,8 @@ class SurrogateEngine:
 
         raise NumericalInstabilityError(
             f"head '{name}' has no usable Cholesky factor (a "
-            "refactorisation exhausted the jitter ladder); refit the "
-            "surrogate before sweeping the grid"
+            "refactorisation exhausted the jitter ladder, or its kernel or "
+            "noise changed); refit the surrogate before sweeping the grid"
         )
 
     def _prior_moments(self, gp: GaussianProcess, state: _HeadState,
@@ -448,9 +460,7 @@ class SurrogateEngine:
         joint = entry.joint
         state.prior_var = gp.kernel.diag(joint)
         cross = self._cross_rows(gp, x, 0, entry, shared)
-        state.write_rows(
-            0, cross, get_backend().solve_triangular(chol, cross, lower=True)
-        )
+        state.write_rows(0, cross, solve_lower(chol, cross))
         state.factor_version = factor_version
         self.stats.kernel_evals += x.shape[0] * joint.shape[0]
         self.stats.rebuilds += 1
@@ -463,9 +473,7 @@ class SurrogateEngine:
         k0 = state.n
         cross = self._cross_rows(gp, x, k0, entry, shared)
         block = cross - chol[k0:n, :k0] @ state.v[:k0]
-        state.write_rows(k0, cross, get_backend().solve_triangular(
-            chol[k0:n, k0:n], block, lower=True
-        ))
+        state.write_rows(k0, cross, solve_lower(chol[k0:n, k0:n], block))
         self.stats.kernel_evals += (n - k0) * entry.joint.shape[0]
         self.stats.extensions += 1
 
@@ -558,7 +566,6 @@ class SurrogateEngine:
             else:
                 self.stats.cache_hits += 1
 
-        backend = get_backend()
         m = joint.shape[0]
         for (n, _key), group in rebuilds.items():
             cross_stack = stacked_cross(
@@ -566,9 +573,8 @@ class SurrogateEngine:
                 [x for _, _, x, _, _ in group],
                 joint,
             )
-            chol_stack = backend.stack([chol for *_, chol, _ in group])
-            v_stack = backend.solve_triangular(
-                chol_stack, cross_stack, lower=True
+            v_stack = _solve_stacked(
+                [chol for *_, chol, _ in group], cross_stack
             )
             for i, (gp, state, x, chol, factor_version) in enumerate(group):
                 state.prior_var = gp.kernel.diag(joint)
@@ -585,14 +591,13 @@ class SurrogateEngine:
             )
             # The correction against the already-solved rows is cheap and
             # head-local; only the (n-k0)-sized L22 solve is batched.
-            blocks = backend.stack([
+            blocks = [
                 cross_stack[i] - chol[k0:n, :k0] @ state.v[:k0]
                 for i, (_, state, _, chol) in enumerate(group)
-            ])
-            l22_stack = backend.stack(
-                [chol[k0:n, k0:n] for *_, chol in group]
+            ]
+            v_stack = _solve_stacked(
+                [chol[k0:n, k0:n] for *_, chol in group], blocks
             )
-            v_stack = backend.solve_triangular(l22_stack, blocks, lower=True)
             for i, (gp, state, x, chol) in enumerate(group):
                 state.write_rows(k0, cross_stack[i], v_stack[i])
                 self.stats.kernel_evals += (n - k0) * m

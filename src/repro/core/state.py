@@ -178,9 +178,11 @@ def restore_gp_state(gp, state: dict) -> None:
         gp._kernel.nu = float(kernel_payload["nu"])
     gp._noise_variance = float(state["noise_variance"])
     gp.prior_mean = float(state["prior_mean"])
-    gp._x = _maybe_decode(state["x"])
-    gp._y = _maybe_decode(state["y"])
-    gp._chol = _maybe_decode(state["chol"])
+    gp._seat(
+        _maybe_decode(state["x"]),
+        _maybe_decode(state["y"]),
+        _maybe_decode(state["chol"]),
+    )
     gp._alpha = _maybe_decode(state["alpha"])
     gp._factor_version = int(state["factor_version"])
     gp._jitter_retries = int(state["jitter_retries"])

@@ -1,12 +1,12 @@
-"""Tests for the pluggable numerics backend layer and the sparse policy.
+"""Tests for the numerics layer and the sparse policy.
 
-Covers the :mod:`repro.core.backend` contract — the NumpyBackend's
-bit-identity with the scipy routines it replaced, the backend registry,
-:class:`NumericsConfig` construction/validation/environment resolution
-and the install/use precedence — plus the deterministic inducing-subset
-selection of :mod:`repro.core.sparse` and its conservative-variance
-property (the argument that makes sparse mode safe for eq.-8
-certification).
+Covers the direct LAPACK solve helpers of :mod:`repro.core.numerics`
+(bit-identity with the scipy routines they replace, scipy's checks),
+the backend names :class:`NumericsConfig` accepts, its
+construction/validation/environment resolution and the install/use
+precedence — plus the deterministic inducing-subset selection of
+:mod:`repro.core.sparse` and its conservative-variance property (the
+argument that makes sparse mode safe for eq.-8 certification).
 """
 
 import numpy as np
@@ -18,20 +18,21 @@ from repro.core.backend import (
     ENV_BATCHED,
     ENV_BUDGET,
     ENV_SPARSE,
-    ArrayBackend,
     NumericsConfig,
-    NumpyBackend,
     active_numerics,
-    available_backends,
-    get_backend,
     install_numerics,
     numerics_env,
-    register_backend,
     uninstall_numerics,
     use_numerics,
 )
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern
+from repro.core.numerics import (
+    NumericalInstabilityError,
+    cho_solve_lower,
+    robust_cholesky,
+    solve_lower,
+)
 from repro.core.sparse import greedy_inducing_indices, make_eviction_policy
 
 
@@ -48,120 +49,124 @@ def spd(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
+def factor_layouts(rng, n):
+    """One lower factor as C-order, F-order and a non-contiguous block.
+
+    The block is the leading ``n x n`` view of a larger buffer, the
+    layout of a GP factor between capacity doublings.
+    """
+    chol = cholesky(spd(rng, n), lower=True)
+    buffer = np.zeros((2 * n, 2 * n))
+    buffer[:n, :n] = chol
+    return {
+        "C": np.ascontiguousarray(chol),
+        "F": np.asfortranarray(chol),
+        "block": buffer[:n, :n],
+    }
+
+
 class TestNumpyBackendOps:
-    """The default backend delegates to the exact pre-refactor routines."""
+    """numpy's linear algebra: the LAPACK helpers equal scipy bit for bit."""
 
     def test_cholesky_bit_identical_to_scipy(self, rng):
         m = spd(rng, 6)
-        for lower in (True, False):
-            np.testing.assert_array_equal(
-                NumpyBackend().cholesky(m, lower=lower),
-                cholesky(m, lower=lower),
-            )
-
-    def test_cholesky_batched_loops_leading_axis(self, rng):
-        stack = np.stack([spd(rng, 5) for _ in range(3)])
-        out = NumpyBackend().cholesky(stack, lower=True)
-        assert out.shape == stack.shape
-        for got, m in zip(out, stack):
-            np.testing.assert_array_equal(got, cholesky(m, lower=True))
+        chol, jitter, retries = robust_cholesky(m)
+        assert jitter == 0.0 and retries == 0
+        np.testing.assert_array_equal(chol, cholesky(m, lower=True))
 
     def test_cholesky_raises_linalgerror_on_indefinite(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            NumpyBackend().cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # The jitter ladder advances on LinAlgError; with no retries
+        # left it surfaces, chained.
+        with pytest.raises(NumericalInstabilityError) as info:
+            robust_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), max_retries=0)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_solve_triangular_bit_identical(self, rng):
         m = np.tril(spd(rng, 6))
         b = rng.normal(size=(6, 4))
         np.testing.assert_array_equal(
-            NumpyBackend().solve_triangular(m, b, lower=True),
-            solve_triangular(m, b, lower=True),
+            solve_lower(m, b), solve_triangular(m, b, lower=True)
         )
 
     def test_solve_triangular_batched(self, rng):
+        # Per-slice solves equal scipy's own loop over a stacked axis.
         mats = np.stack([np.tril(spd(rng, 5)) for _ in range(3)])
         rhs = rng.normal(size=(3, 5, 2))
-        out = NumpyBackend().solve_triangular(mats, rhs, lower=True)
-        assert out.shape == rhs.shape
-        for got, m, b in zip(out, mats, rhs):
-            np.testing.assert_array_equal(
-                got, solve_triangular(m, b, lower=True)
-            )
+        expected = solve_triangular(mats, rhs, lower=True)
+        for got, want in zip(
+            (solve_lower(m, b) for m, b in zip(mats, rhs)), expected
+        ):
+            np.testing.assert_array_equal(got, want)
 
     def test_cho_solve_bit_identical(self, rng):
         m = spd(rng, 6)
         chol = cholesky(m, lower=True)
         b = rng.normal(size=6)
         np.testing.assert_array_equal(
-            NumpyBackend().cho_solve(chol, b, lower=True),
-            cho_solve((chol, True), b),
+            cho_solve_lower(chol, b), cho_solve((chol, True), b)
         )
 
-    def test_array_helpers(self, rng):
-        bk = NumpyBackend()
-        assert bk.xp is np
-        assert bk.name == "numpy"
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        np.testing.assert_array_equal(bk.matmul(a, b), a @ b)
+    @pytest.mark.parametrize("layout", ["C", "F", "block"])
+    @pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
+    def test_every_layout_matches_scipy(self, rng, layout, rhs_shape):
+        chol = factor_layouts(rng, 7)[layout]
+        b = rng.normal(size=rhs_shape)
+        before = b.copy()
+        x = solve_lower(chol, b)
+        np.testing.assert_array_equal(x, solve_triangular(chol, b, lower=True))
+        assert x.shape == b.shape
         np.testing.assert_array_equal(
-            bk.einsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b)
+            cho_solve_lower(chol, b), cho_solve((chol, True), b)
         )
-        np.testing.assert_array_equal(
-            bk.stack([a, a]), np.stack([a, a])
-        )
-        assert bk.asarray([1, 2]).dtype == float
+        np.testing.assert_array_equal(b, before)  # never overwritten
+
+    @pytest.mark.parametrize("where", ["factor", "rhs"])
+    def test_nonfinite_input_raises_valueerror(self, rng, where):
+        chol = factor_layouts(rng, 4)["block"].copy()
+        b = rng.normal(size=4)
+        if where == "factor":
+            chol[2, 1] = np.nan
+        else:
+            b[3] = np.nan
+        for solve in (solve_lower, cho_solve_lower):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(chol, b)
+
+    def test_zero_pivot_raises_linalgerror(self, rng):
+        chol = factor_layouts(rng, 4)["C"].copy()
+        chol[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+            solve_lower(chol, rng.normal(size=4))
+
+    def test_shape_mismatch_raises_valueerror(self, rng):
+        chol = factor_layouts(rng, 4)["C"]
+        for solve in (solve_lower, cho_solve_lower):
+            with pytest.raises(ValueError):
+                solve(chol, np.ones(5))
+            with pytest.raises(ValueError):
+                solve(chol[:, :3], np.ones(4))
 
 
 class TestRegistry:
+    """Backend names: ``numpy`` is the only one the config accepts."""
+
     def test_default_backend_is_numpy(self):
-        backend = get_backend()
-        assert isinstance(backend, NumpyBackend)
-        # Instances are cached: same object every call.
-        assert get_backend("numpy") is backend
-
-    def test_builtin_names_advertised(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "cupy" in names
-        assert "torch" in names
-
-    def test_unknown_name_raises_keyerror(self):
-        with pytest.raises(KeyError, match="numpy"):
-            get_backend("fortran77")
-
-    def test_register_custom_backend(self):
-        calls = []
-
-        class Custom(NumpyBackend):
-            name = "custom-test"
-
-        def factory():
-            calls.append(1)
-            return Custom()
-
-        register_backend("custom-test", factory)
-        assert "custom-test" in available_backends()
-        first = get_backend("custom-test")
-        assert isinstance(first, Custom)
-        assert get_backend("custom-test") is first
-        assert len(calls) == 1  # lazy + cached
-
-    def test_register_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("", NumpyBackend)
+        assert active_numerics().backend == "numpy"
+        assert NumericsConfig.from_env({}).backend == "numpy"
 
     @pytest.mark.parametrize("name", ["cupy", "torch"])
     def test_unavailable_accelerator_backends_raise_actionably(self, name):
-        # Whether the library is absent (placeholder backend) or present
-        # (factory refuses: not implemented), use must raise RuntimeError
-        # rather than fail deep inside a solve.
-        try:
-            backend = get_backend(name)
-        except RuntimeError:
-            return
-        assert isinstance(backend, ArrayBackend)
-        with pytest.raises(RuntimeError, match=name):
-            backend.matmul(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match=name) as info:
+            NumericsConfig(backend=name)
+        assert ENV_BACKEND in str(info.value)
+        with pytest.raises(ValueError, match="numpy"):
+            NumericsConfig.from_env({ENV_BACKEND: name})
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="fortran77"):
+            NumericsConfig(backend="fortran77")
+        with pytest.raises(ValueError, match="fortran77"):
+            numerics_env(backend="fortran77", environ={})
 
 
 class TestNumericsConfig:
