@@ -40,7 +40,7 @@ class ExhaustiveOracle:
     Parameters
     ----------
     env:
-        Environment whose deterministic :meth:`evaluate` defines the
+        Environment whose noise-free :meth:`evaluate_grid` defines the
         ground truth.
     cost_weights:
         The delta weights of eq. (1).
@@ -61,8 +61,10 @@ class ExhaustiveOracle:
             env.config.control_grid() if control_grid is None else
             np.asarray(control_grid, dtype=float)
         )
-        if grid.ndim != 2 or grid.shape[1] != 4:
-            raise ValueError(f"control_grid must be (n, 4), got {grid.shape}")
+        if grid.ndim != 2 or grid.shape[1] != 4 or grid.shape[0] == 0:
+            raise ValueError(
+                f"control_grid must be (n, 4) with n >= 1, got {grid.shape}"
+            )
         self.control_grid = grid
         self._cache: dict[tuple, OracleResult] = {}
 
@@ -73,39 +75,54 @@ class ExhaustiveOracle:
     ) -> OracleResult:
         """Cheapest feasible control for the given channel state.
 
-        Results are memoised on (constraints, rounded SNRs) since the
-        search is expensive (|X| noise-free evaluations).
+        One :meth:`EdgeAIEnvironment.evaluate_grid` pass scores every
+        control; the result is the first grid row of minimum cost among
+        the feasible rows (among all rows if none is feasible), exactly
+        as a row-by-row scan keeping strictly cheaper rows picks it.
+        Results are memoised on the exact constraints, cost weights and
+        SNRs the search evaluates.
         """
-        snrs = list(self.env.current_snrs_db if snrs_db is None else snrs_db)
+        snrs = [float(s) for s in (
+            self.env.current_snrs_db if snrs_db is None else snrs_db
+        )]
         key = (
-            round(constraints.d_max_s, 6),
-            round(constraints.rho_min, 6),
-            round(self.cost_weights.delta1, 9),
-            round(self.cost_weights.delta2, 9),
-            tuple(round(s, 2) for s in snrs),
+            constraints.d_max_s,
+            constraints.rho_min,
+            self.cost_weights.delta1,
+            self.cost_weights.delta2,
+            tuple(snrs),
         )
         if key in self._cache:
             return self._cache[key]
 
-        best_feasible: OracleResult | None = None
-        best_any: OracleResult | None = None
-        for row in self.control_grid:
-            policy = ControlPolicy.from_array(row)
-            obs = self.env.evaluate(policy, snrs_db=snrs, noisy=False)
-            cost = self.cost_weights.cost(obs.server_power_w, obs.bs_power_w)
-            feasible = constraints.satisfied(obs.delay_s, obs.map_score)
-            result = OracleResult(
-                policy=policy,
-                cost=cost,
-                delay_s=obs.delay_s,
-                map_score=obs.map_score,
-                feasible=feasible,
-            )
-            if best_any is None or cost < best_any.cost:
-                best_any = result
-            if feasible and (best_feasible is None or cost < best_feasible.cost):
-                best_feasible = result
-
-        outcome = best_feasible if best_feasible is not None else best_any
+        kpis = self.env.evaluate_grid(self.control_grid, snrs_db=snrs)
+        cost = kpis.cost(self.cost_weights)
+        feasible = (kpis.delay_s <= constraints.d_max_s) & (
+            kpis.map_score >= constraints.rho_min
+        )
+        candidates = np.flatnonzero(feasible)
+        if candidates.size == 0:
+            candidates = np.arange(cost.size)
+        i = _first_minimum(cost, candidates)
+        outcome = OracleResult(
+            policy=ControlPolicy.from_array(self.control_grid[i]),
+            cost=float(cost[i]),
+            delay_s=float(kpis.delay_s[i]),
+            map_score=float(kpis.map_score[i]),
+            feasible=bool(feasible[i]),
+        )
         self._cache[key] = outcome
         return outcome
+
+
+def _first_minimum(cost: np.ndarray, candidates: np.ndarray) -> int:
+    """Row a scan of ``candidates`` keeping strictly cheaper rows ends on.
+
+    The first candidate is kept unless a later one is strictly cheaper,
+    so a NaN cost never replaces a row and a NaN first candidate is
+    never replaced.
+    """
+    scanned = cost[candidates]
+    if np.isnan(scanned[0]):
+        return int(candidates[0])
+    return int(candidates[np.argmin(np.where(np.isnan(scanned), np.inf, scanned))])

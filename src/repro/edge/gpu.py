@@ -92,15 +92,20 @@ class GpuModel:
         base = self.base_inference_time_s + self.resolution_ease_s * (1.0 - resolution)
         return float(base / self.speed_factor(speed_policy))
 
+    def busy_draw_w(self, speed_policy: float) -> float:
+        """Draw while processing: ``busy_draw_fraction`` of the power
+        cap, never below idle."""
+        busy_draw = self.busy_draw_fraction * self.power_cap_w(speed_policy)
+        return max(busy_draw, self.idle_power_w)
+
     def mean_power_w(self, utilization: float, speed_policy: float) -> float:
         """Mean GPU draw for a steady-state duty cycle.
 
-        While processing, the GPU draws ``busy_draw_fraction`` of its
-        power cap; while idle it draws ``idle_power_w``.
+        While processing, the GPU draws :meth:`busy_draw_w`; while idle
+        it draws ``idle_power_w``.
         """
         check_fraction(utilization, "utilization")
-        busy_draw = self.busy_draw_fraction * self.power_cap_w(speed_policy)
-        busy_draw = max(busy_draw, self.idle_power_w)
+        busy_draw = self.busy_draw_w(speed_policy)
         return float(
             self.idle_power_w + utilization * (busy_draw - self.idle_power_w)
         )

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
-import numpy as np
-
 from repro.bandit.oracle import ExhaustiveOracle
 from repro.core import EdgeBOL, EdgeBOLConfig
 from repro.experiments import spec as spec_registry
@@ -27,7 +25,6 @@ from repro.experiments.recorder import write_csv
 from repro.experiments.runner import run_agent
 from repro.experiments.spec import ExperimentSpec, ParamSpec
 from repro.testbed.config import (
-    ControlPolicy,
     CostWeights,
     ServiceConstraints,
     TestbedConfig,
@@ -75,17 +72,6 @@ class StaticResult:
         return dict(self.__dict__)
 
 
-def _grid_cost_extremes(
-    env, weights: CostWeights, control_grid: np.ndarray
-) -> tuple[float, float]:
-    """(min, max) noise-free cost over the control grid."""
-    costs = []
-    for row in control_grid:
-        obs = env.evaluate(ControlPolicy.from_array(row), noisy=False)
-        costs.append(weights.cost(obs.server_power_w, obs.bs_power_w))
-    return float(min(costs)), float(max(costs))
-
-
 def run_static_cell(
     constraints: ServiceConstraints,
     delta2: float,
@@ -116,9 +102,7 @@ def run_static_cell(
     )
     oracle = ExhaustiveOracle(oracle_env, weights, control_grid=grid)
     oracle_result = oracle.best(constraints, snrs_db=[mean_snr_db] * env.n_users)
-    _, max_cost = _grid_cost_extremes(
-        oracle_env, weights, grid[:: max(1, grid.shape[0] // 512)]
-    )
+    max_cost = float(oracle_env.evaluate_grid(grid).cost(weights).max())
 
     cost = log.tail_mean("cost", window=tail_window)
     return StaticResult(

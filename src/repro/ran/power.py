@@ -96,8 +96,11 @@ class BSPowerModel:
         if not 0 <= mcs <= phy.MAX_MCS:
             raise ValueError(f"mcs must be in 0..{phy.MAX_MCS}, got {mcs}")
         busy = self.busy_fraction(offered_load_bps, airtime, nominal_rate_bps)
-        dynamic = self.base_busy_power_w + self.mcs_busy_power_w * phy.mcs_efficiency(mcs)
-        return float(self.idle_power_w + busy * dynamic)
+        return float(self.idle_power_w + busy * self.busy_power_w(mcs))
+
+    def busy_power_w(self, mcs: int) -> float:
+        """Extra power while processing subframes at ``mcs``."""
+        return self.base_busy_power_w + self.mcs_busy_power_w * phy.mcs_efficiency(mcs)
 
     @property
     def max_power_w(self) -> float:

@@ -28,9 +28,11 @@ from repro.edge.queueing import (
     solve_schweitzer,
 )
 from repro.edge.server import EdgeServer, ServerLoadReport
+from repro.ran import phy
 from repro.ran.mac import RadioPolicy
 from repro.ran.vbs import VirtualizedBS
 from repro.service.images import encoded_bits
+from repro.utils.grids import map_distinct
 from repro.utils.validation import check_fraction, check_positive
 
 
@@ -85,6 +87,21 @@ class ServiceSteadyState:
     mean_mcs: float
     server: ServerLoadReport
     bs_power_w: float
+
+
+@dataclass(frozen=True)
+class GridSteadyState:
+    """Steady-state power and delay KPIs for M controls at once.
+
+    Each field is an ``(M,)`` array whose entry ``i`` equals the
+    matching field of :meth:`ServiceModel.steady_state` for row ``i``
+    bit for bit (``max_delay_s``, ``server.server_power_w``,
+    ``bs_power_w``).
+    """
+
+    max_delay_s: np.ndarray
+    server_power_w: np.ndarray
+    bs_power_w: np.ndarray
 
 
 class ServiceModel:
@@ -225,5 +242,126 @@ class ServiceModel:
             offered_load_bps=offered_load,
             mean_mcs=grant.mean_mcs,
             server=report,
+            bs_power_w=bs_power,
+        )
+
+    def steady_state_grid(
+        self,
+        resolution: np.ndarray,
+        airtime: np.ndarray,
+        gpu_speed: np.ndarray,
+        max_mcs: np.ndarray,
+        users: Sequence[UserEquipment],
+    ) -> GridSteadyState:
+        """:meth:`steady_state` for M controls in one numpy pass.
+
+        The four ``(M,)`` columns hold validated policy values
+        (``max_mcs`` as integer MCS caps).  Row ``i`` of the result is
+        bitwise equal to ``steady_state`` at row ``i``: nonlinear model
+        terms go through the scalar functions once per distinct value
+        (numpy's SIMD ``pow``/``exp`` need not match libm to the last
+        bit), only ``+ - * /``, ``min``/``max`` and selections run
+        vectorised, in the scalar code's operand order, and sums over
+        users reduce a contiguous last axis as the scalar code's 1-D
+        sums do.  Populations above ``exact_mva_max_users`` fall back
+        to the scalar solver row by row.
+        """
+        if not users:
+            raise ValueError("at least one user is required")
+        n = len(users)
+        if n > self.exact_mva_max_users:
+            states = [
+                self.steady_state(r, RadioPolicy(airtime=a, max_mcs=m), g, users)
+                for r, a, g, m in zip(
+                    resolution.tolist(), airtime.tolist(),
+                    gpu_speed.tolist(), max_mcs.tolist(),
+                )
+            ]
+            return GridSteadyState(
+                max_delay_s=np.array([s.max_delay_s for s in states]),
+                server_power_w=np.array([s.server.server_power_w for s in states]),
+                bs_power_w=np.array([s.bs_power_w for s in states]),
+            )
+
+        # Uplink grant (RoundRobinScheduler.allocate): the policy cap
+        # clipped by each user's channel, an equal airtime share.
+        scheduler = self.vbs.scheduler
+        full_rate = np.array([
+            phy.uplink_capacity_bps(
+                m, 1.0, bandwidth_mhz=scheduler.bandwidth_mhz, mac_efficiency=1.0
+            )
+            for m in range(phy.MAX_MCS + 1)
+        ])
+        channel_mcs = np.array(
+            [phy.cqi_to_max_mcs(phy.snr_to_cqi(float(u.snr_db))) for u in users]
+        )
+        mcs = np.minimum(max_mcs[:, None], channel_mcs[None, :])
+        share = airtime / n
+        goodput = (
+            full_rate[mcs] * share[:, None]
+            * scheduler.effective_mac_efficiency(n)
+        )
+        image_bits = map_distinct(encoded_bits, resolution)
+        live = goodput > 0
+        tx = np.divide(
+            image_bits[:, None], goodput,
+            out=np.full(goodput.shape, np.inf), where=live,
+        )
+        dead = ~np.isfinite(tx).all(axis=1)
+        # Dead rows (some user cannot transmit) keep delay inf and no
+        # load; give them a placeholder so the recursion stays finite.
+        tx[dead] = 0.0
+
+        # Exact MVA, one customer per class: the GPU queue length at
+        # every user subset (bitmask), smaller subsets first.
+        gpu_time = map_distinct(self.server.inference_time_s, resolution, gpu_speed)
+        think = [map_distinct(u.think_time_s, resolution) for u in users]
+        tx_cols = list(np.ascontiguousarray(tx.T))
+        full = (1 << n) - 1
+        gpu_queues = np.zeros((full, gpu_time.size))
+
+        def residence(subset: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+            """Class ``c``'s GPU response time and throughput in ``subset``."""
+            response = gpu_time * (1.0 + gpu_queues[subset & ~(1 << c)])
+            throughput = 1.0 / (think[c] + (tx_cols[c] + response))
+            return response, throughput
+
+        for subset in range(1, full):
+            queue = gpu_queues[subset]
+            for c in range(n):
+                if subset >> c & 1:
+                    response, throughput = residence(subset, c)
+                    queue += throughput * response
+        rates = np.empty((gpu_time.size, n))
+        for c in range(n):
+            rates[:, c] = residence(full, c)[1]
+        max_delay = np.where(dead, np.inf, (1.0 / rates).max(axis=1))
+        total_rate = np.where(dead, 0.0, rates.sum(axis=1))
+        offered_load = total_rate * image_bits * self.load_multiplier
+
+        # Server power (EdgeServer.load_report, GpuModel.mean_power_w).
+        gpu = self.server.gpu
+        utilization = total_rate * gpu_time
+        utilization = np.where(1.0 < utilization, 1.0, utilization)
+        busy_draw = map_distinct(gpu.busy_draw_w, gpu_speed)
+        gpu_power = gpu.idle_power_w + utilization * (busy_draw - gpu.idle_power_w)
+        host_power = (
+            self.server.host_idle_power_w
+            + self.server.host_per_request_j * total_rate
+        )
+
+        # Baseband power (VirtualizedBS.baseband_power_w) at the rounded
+        # mean MCS actually used.
+        power_model = self.vbs.power_model
+        mean_mcs = mcs.sum(axis=1) / n
+        rounded = map_distinct(lambda v: int(round(v)), mean_mcs)
+        demanded = offered_load / (full_rate[rounded] * power_model.grant_utilization)
+        busy = np.where(demanded < airtime, demanded, airtime)
+        bs_power = power_model.idle_power_w + busy * map_distinct(
+            power_model.busy_power_w, rounded
+        )
+        return GridSteadyState(
+            max_delay_s=max_delay,
+            server_power_w=gpu_power + host_power,
             bs_power_w=bs_power,
         )

@@ -9,26 +9,29 @@ Per orchestration period (seconds-level, the non-RT RIC timescale):
    BS power,
 4. the wireless channels evolve to the next period.
 
-The environment also exposes a noise-free :meth:`evaluate` used by the
-offline exhaustive-search oracle of the paper's evaluation.
+The environment also exposes a noise-free :meth:`evaluate` and its
+one-pass grid form :meth:`evaluate_grid`, used by the offline
+exhaustive-search oracle of the paper's evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.faults import runtime as faults
+from repro.ran.phy import mcs_from_fraction
 from repro.service.detection import SyntheticDetector
 from repro.service.images import SyntheticCocoDataset
 from repro.service.pipeline import ServiceModel, UserEquipment
 from repro.service.profiles import expected_map, map_observation_std
 from repro.telemetry import runtime as telemetry
-from repro.testbed.config import ControlPolicy, TestbedConfig
+from repro.testbed.config import ControlPolicy, CostWeights, TestbedConfig
 from repro.testbed.context import Context
 from repro.testbed.powermeter import ObservationNoise, PowerMeter
+from repro.utils.grids import map_distinct
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -82,6 +85,25 @@ class TestbedObservation:
     offered_load_bps: float
     per_user_delay_s: tuple[float, ...]
     per_user_rate_hz: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class GridObservation:
+    """Noise-free KPIs of every row of a control grid.
+
+    Each field is an ``(M,)`` array whose entry ``i`` is bitwise equal
+    to the same field of ``evaluate(ControlPolicy.from_array(grid[i]),
+    snrs_db, noisy=False)``.
+    """
+
+    delay_s: np.ndarray
+    map_score: np.ndarray
+    server_power_w: np.ndarray
+    bs_power_w: np.ndarray
+
+    def cost(self, weights: CostWeights) -> np.ndarray:
+        """Eq. (1) cost per row, as :meth:`CostWeights.cost` computes it."""
+        return weights.delta1 * self.server_power_w + weights.delta2 * self.bs_power_w
 
 
 class EdgeAIEnvironment:
@@ -228,6 +250,40 @@ class EdgeAIEnvironment:
             per_user_rate_hz=tuple(float(r) for r in state.per_user_rate_hz),
         )
 
+    def evaluate_grid(
+        self,
+        grid: np.ndarray,
+        snrs_db: Sequence[float] | None = None,
+    ) -> GridObservation:
+        """Noise-free KPIs of every control in ``grid`` in one pass.
+
+        ``grid`` is ``(M, 4)`` in :meth:`ControlPolicy.to_array` order;
+        row ``i`` of the result equals ``evaluate(..., noisy=False)``
+        on row ``i`` bit for bit.  Recorded as one ``env.evaluate_grid``
+        telemetry span (``rows``, ``users``); the per-row MAC and
+        queueing telemetry of :meth:`evaluate` is not emitted.
+        """
+        grid = _checked_grid(grid)
+        snrs = list(self._current_snrs if snrs_db is None else snrs_db)
+        with telemetry.span("env.evaluate_grid") as sp:
+            if sp:
+                sp.set("rows", grid.shape[0])
+                sp.set("users", len(snrs))
+            resolution = grid[:, 0]
+            state = self._service.steady_state_grid(
+                resolution=resolution,
+                airtime=grid[:, 1],
+                gpu_speed=grid[:, 2],
+                max_mcs=map_distinct(mcs_from_fraction, grid[:, 3]),
+                users=[UserEquipment(snr_db=s) for s in snrs],
+            )
+            return GridObservation(
+                delay_s=state.max_delay_s,
+                map_score=map_distinct(expected_map, resolution),
+                server_power_w=state.server_power_w,
+                bs_power_w=state.bs_power_w,
+            )
+
     def _true_map(self, resolution: float, noisy: bool) -> float:
         """mAP for the period, per the configured measurement mode."""
         if noisy and self.map_mode == "detector":
@@ -251,3 +307,19 @@ class EdgeAIEnvironment:
                 sp.set("delay_s", observation.delay_s)
                 sp.set("server_power_w", observation.server_power_w)
             return observation
+
+
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float ``(M, 4)`` array of finite values in [0, 1]."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != 4:
+        raise ValueError(f"control grid must be (M, 4), got shape {grid.shape}")
+    bad = ~((grid >= 0.0) & (grid <= 1.0))  # NaN fails both
+    if bad.any():
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        name = fields(ControlPolicy)[col].name
+        raise ValueError(
+            f"control grid row {row}, column {col} ({name}) "
+            f"must be within [0, 1], got {grid[row, col]!r}"
+        )
+    return grid

@@ -50,3 +50,23 @@ def nearest_grid_index(grid: np.ndarray, point: np.ndarray) -> int:
         )
     distances = np.sum((grid - point[None, :]) ** 2, axis=1)
     return int(np.argmin(distances))
+
+
+def map_distinct(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` applied row-wise to parallel 1-D columns, once per distinct row.
+
+    Returns the ``(n_rows,)`` array ``[fn(*row) for row in zip(*columns)]``
+    while calling ``fn`` only once per distinct tuple of values — a
+    control grid has few distinct levels per axis, so scalar models
+    (``pow``/``exp`` included) can be evaluated through their exact
+    scalar code on a whole grid.  ``fn`` receives Python scalars of the
+    columns' kinds (``int`` for integer columns, ``float`` otherwise).
+    """
+    if len(columns) == 1:
+        values, inverse = np.unique(columns[0], return_inverse=True)
+        results = [fn(v) for v in values.tolist()]
+    else:
+        keys = np.stack(columns, axis=1)
+        values, inverse = np.unique(keys, axis=0, return_inverse=True)
+        results = [fn(*row) for row in values.tolist()]
+    return np.array(results)[inverse.reshape(-1)]

@@ -18,7 +18,7 @@ from repro.testbed.config import (
     TestbedConfig,
     default_control_grid,
 )
-from repro.testbed.env import TestbedObservation
+from repro.testbed.env import GridObservation, TestbedObservation
 from repro.testbed.scenarios import static_scenario
 
 
@@ -155,6 +155,161 @@ class TestExhaustiveOracle:
         lax = oracle.best(ServiceConstraints(0.5, 0.4), snrs_db=[35.0])
         medium = oracle.best(ServiceConstraints(0.4, 0.5), snrs_db=[35.0])
         assert medium.cost >= lax.cost - 1e-9
+
+
+def loop_oracle(env, weights, grid, constraints, snrs):
+    """The row-by-row search ``ExhaustiveOracle.best`` replaced."""
+    best_feasible = best_any = None
+    for row in grid:
+        policy = ControlPolicy.from_array(row)
+        obs = env.evaluate(policy, snrs_db=snrs, noisy=False)
+        cost = weights.cost(obs.server_power_w, obs.bs_power_w)
+        feasible = constraints.satisfied(obs.delay_s, obs.map_score)
+        result = (policy, cost, obs.delay_s, obs.map_score, feasible)
+        if best_any is None or cost < best_any[1]:
+            best_any = result
+        if feasible and (best_feasible is None or cost < best_feasible[1]):
+            best_feasible = result
+    return best_feasible if best_feasible is not None else best_any
+
+
+def as_tuple(result):
+    return (result.policy, result.cost, result.delay_s, result.map_score,
+            result.feasible)
+
+
+def same_result(a, b):
+    """Field-wise equality that treats NaN costs as equal."""
+    return all(x == y or (x != x and y != y) for x, y in zip(a, b))
+
+
+class StubGridEnv:
+    """Environment with hand-set KPIs per control row."""
+
+    def __init__(self, grid, delay, map_score, server, bs):
+        self.grid = grid
+        self.kpis = GridObservation(
+            delay_s=np.asarray(delay, dtype=float),
+            map_score=np.asarray(map_score, dtype=float),
+            server_power_w=np.asarray(server, dtype=float),
+            bs_power_w=np.asarray(bs, dtype=float),
+        )
+        self.current_snrs_db = [30.0]
+
+    def evaluate_grid(self, grid, snrs_db=None):
+        assert grid is self.grid
+        return self.kpis
+
+    def evaluate(self, policy, snrs_db=None, noisy=False):
+        i = next(
+            i for i, row in enumerate(self.grid)
+            if np.array_equal(row, policy.to_array())
+        )
+        k = self.kpis
+        return make_observation(
+            delay=float(k.delay_s[i]), map_score=float(k.map_score[i]),
+            server=float(k.server_power_w[i]), bs=float(k.bs_power_w[i]),
+        )
+
+
+NAN = float("nan")
+
+#: (delay, mAP, server W, BS W) per row: ties, NaN costs, infeasible rows.
+STUB_KPIS = {
+    "ties": (
+        [0.5, 0.2, 0.2, 0.3, 0.2, 0.1],
+        [0.6] * 6,
+        [90.0, 80.0, 70.0, 70.0, 70.0, 75.0],
+        [5.0, 5.0, 5.0, 5.0, 5.0, 0.0],
+    ),
+    "nan_mid": (
+        [0.2] * 6,
+        [0.6] * 6,
+        [90.0, NAN, 70.0, NAN, 70.0, 95.0],
+        [5.0] * 6,
+    ),
+    "nan_first_feasible": (
+        [0.9, 0.2, 0.2, 0.2, 0.9, 0.2],
+        [0.6] * 6,
+        [10.0, NAN, 70.0, 60.0, 5.0, 60.0],
+        [5.0] * 6,
+    ),
+    "nan_first_row_none_feasible": (
+        [0.9] * 6,
+        [0.6] * 6,
+        [NAN, 80.0, 70.0, 60.0, 60.0, 90.0],
+        [5.0] * 6,
+    ),
+    "all_nan": (
+        [0.2] * 6,
+        [0.6] * 6,
+        [NAN] * 6,
+        [5.0] * 6,
+    ),
+    "none_feasible_ties": (
+        [0.9, 0.2, 0.9, 0.2, 0.9, 0.9],
+        [0.6, 0.1, 0.6, 0.3, 0.6, 0.6],
+        [80.0, 50.0, 60.0, 50.0, 60.0, 70.0],
+        [5.0] * 6,
+    ),
+}
+
+
+class TestOracleMatchesRowLoop:
+    @pytest.mark.parametrize("case", sorted(STUB_KPIS))
+    def test_stub_kpis(self, case):
+        grid = default_control_grid(2)[:6]
+        env = StubGridEnv(grid, *STUB_KPIS[case])
+        weights = CostWeights(1.0, 2.0)
+        constraints = ServiceConstraints(0.4, 0.5)
+        result = ExhaustiveOracle(env, weights, control_grid=grid).best(
+            constraints, snrs_db=[30.0]
+        )
+        expected = loop_oracle(env, weights, grid, constraints, [30.0])
+        assert same_result(as_tuple(result), expected)
+        assert type(result.cost) is float and type(result.feasible) is bool
+
+    @pytest.mark.parametrize("constraints", [
+        ServiceConstraints(0.5, 0.4),
+        ServiceConstraints(0.3, 0.6),
+        ServiceConstraints(0.001, 0.99),
+    ])
+    @pytest.mark.parametrize("snrs", [[35.0], [4.0, 22.5, 31.0]])
+    def test_testbed(self, constraints, snrs):
+        testbed = TestbedConfig(n_levels=4)
+        env = static_scenario(mean_snr_db=35.0, rng=0, config=testbed)
+        grid = testbed.control_grid()
+        weights = CostWeights(1.0, 16.0)
+        result = ExhaustiveOracle(env, weights, control_grid=grid).best(
+            constraints, snrs_db=snrs
+        )
+        assert as_tuple(result) == loop_oracle(
+            env, weights, grid, constraints, snrs
+        )
+
+    def test_memo_keys_on_exact_snrs(self):
+        testbed = TestbedConfig(n_levels=4)
+        constraints = ServiceConstraints(0.4, 0.5)
+
+        def fresh():
+            env = static_scenario(mean_snr_db=35.0, rng=0, config=testbed)
+            return ExhaustiveOracle(env, CostWeights(1.0, 64.0))
+
+        # Both read 11.00 dB at 0.01 dB, but 11 dB is a CQI boundary
+        # (CQI 10 above, 9 below), so the two searches differ.
+        snrs_a, snrs_b = [11.004], [10.996]
+        oracle = fresh()
+        a = oracle.best(constraints, snrs_db=snrs_a)
+        b = oracle.best(constraints, snrs_db=snrs_b)
+        assert a != b
+        assert oracle.best(constraints, snrs_db=[11.004]) is a
+        assert a == fresh().best(constraints, snrs_db=snrs_a)
+        assert b == fresh().best(constraints, snrs_db=snrs_b)
+
+    def test_empty_grid_rejected(self):
+        env = static_scenario(mean_snr_db=35.0, rng=0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            ExhaustiveOracle(env, CostWeights(), control_grid=np.zeros((0, 4)))
 
 
 class TestEpsilonGreedy:

@@ -240,3 +240,27 @@ class TestConvergenceHelpers:
             )
         t = convergence_time(log, tolerance=0.05)
         assert 5 <= t <= 12
+
+
+class TestStaticNormaliser:
+    def test_normalises_by_the_whole_grid_maximum(self):
+        from repro.experiments.static import run_static_cell
+        from repro.utils.rng import seed_tree
+
+        # 6 levels: 1296 controls, enough that a strided subsample of
+        # the grid would miss its maximum-cost row.
+        testbed = TestbedConfig(n_levels=6)
+        weights = CostWeights(1.0, 1.0)
+        result = run_static_cell(
+            ServiceConstraints(0.5, 0.4), 1.0, n_periods=3, tail_window=3,
+            seed=0, testbed=testbed,
+        )
+        oracle_env = static_scenario(
+            mean_snr_db=35.0, rng=seed_tree(0, 2)[1], config=testbed
+        )
+        costs = []
+        for row in testbed.control_grid():
+            obs = oracle_env.evaluate(ControlPolicy.from_array(row), noisy=False)
+            costs.append(weights.cost(obs.server_power_w, obs.bs_power_w))
+        assert result.oracle_normalized_cost == result.oracle_cost / max(costs)
+        assert result.normalized_cost == result.cost / max(costs)

@@ -1,9 +1,12 @@
 """Tests for the environment, power meter and scenarios."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.testbed.config import ControlPolicy, TestbedConfig
+from repro.telemetry import runtime as telemetry
+from repro.testbed.config import ControlPolicy, CostWeights, TestbedConfig
 from repro.testbed.env import EdgeAIEnvironment
 from repro.testbed.powermeter import ObservationNoise, PowerMeter
 from repro.testbed.scenarios import (
@@ -147,3 +150,93 @@ class TestScenarios:
             static_scenario(n_users=0)
         with pytest.raises(ValueError):
             heterogeneous_scenario(n_users=0)
+
+
+KPI_FIELDS = ("delay_s", "map_score", "server_power_w", "bs_power_w")
+
+
+def grid_env(n_users, load_multiplier=1.0, n_levels=3, seed=0):
+    """Environment with ``n_users`` fixed SNRs, one below CQI 1."""
+    rng = np.random.default_rng(seed)
+    snrs = [-12.0] + list(rng.uniform(0.0, 38.0, size=n_users - 1))
+    config = TestbedConfig(n_levels=n_levels, load_multiplier=load_multiplier)
+    env = EdgeAIEnvironment([constant_trace(s) for s in snrs], config=config, rng=0)
+    return env, snrs
+
+
+def probe_grid(config, seed=0):
+    """The config's grid plus off-grid rows and a zero-airtime dead row."""
+    off_grid = np.random.default_rng(seed).random((12, 4))
+    dead = [[0.7, 0.0, 0.4, 0.9]]
+    return np.vstack([config.control_grid(), off_grid, dead])
+
+
+def assert_grid_matches_evaluate(env, grid, snrs):
+    kpis = env.evaluate_grid(grid, snrs_db=snrs)
+    for i, row in enumerate(grid):
+        obs = env.evaluate(ControlPolicy.from_array(row), snrs_db=snrs, noisy=False)
+        for field in KPI_FIELDS:
+            assert getattr(kpis, field)[i] == getattr(obs, field), (i, field)
+    return kpis
+
+
+class TestEvaluateGrid:
+    @pytest.mark.parametrize("n_users", range(1, 9))
+    @pytest.mark.parametrize("load_multiplier", [1.0, 10.0])
+    def test_bitwise_equal_to_evaluate(self, n_users, load_multiplier):
+        env, snrs = grid_env(n_users, load_multiplier, seed=n_users)
+        grid = probe_grid(env.config, seed=n_users)
+        kpis = assert_grid_matches_evaluate(env, grid, snrs)
+        assert kpis.delay_s[-1] == np.inf
+        assert np.all(np.isfinite(kpis.delay_s[:-1]))
+
+    @pytest.mark.parametrize("n_users", [1, 3, 8])
+    def test_no_runtime_warnings(self, n_users):
+        env, snrs = grid_env(n_users, seed=n_users)
+        grid = probe_grid(env.config, seed=n_users)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_grid_matches_evaluate(env, grid, snrs)
+
+    def test_defaults_to_current_snrs(self):
+        env, _ = grid_env(2)
+        grid = env.config.control_grid()
+        a = env.evaluate_grid(grid)
+        b = env.evaluate_grid(grid, snrs_db=env.current_snrs_db)
+        for field in KPI_FIELDS:
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_beyond_exact_mva_falls_back_to_scalar_rows(self):
+        env, snrs = grid_env(3)
+        env.service_model.exact_mva_max_users = 2
+        assert_grid_matches_evaluate(env, probe_grid(env.config), snrs)
+
+    def test_cost_matches_cost_weights(self):
+        env, snrs = grid_env(2)
+        weights = CostWeights(1.5, 7.0)
+        grid = env.config.control_grid()
+        costs = env.evaluate_grid(grid, snrs_db=snrs).cost(weights)
+        for i, row in enumerate(grid):
+            obs = env.evaluate(ControlPolicy.from_array(row), snrs_db=snrs)
+            assert costs[i] == weights.cost(obs.server_power_w, obs.bs_power_w)
+
+    def test_one_span_per_pass(self):
+        env, snrs = grid_env(2)
+        with telemetry.record() as sink:
+            env.evaluate_grid(env.config.control_grid(), snrs_db=snrs)
+        assert [s["name"] for s in sink.spans] == ["env.evaluate_grid"]
+        assert sink.spans[0]["attrs"] == {"rows": 81, "users": 2}
+        assert "ran.mac.allocations" not in sink.metrics[-1]["counters"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.25])
+    def test_invalid_control_names_row_and_column(self, bad):
+        env, _ = grid_env(1)
+        grid = env.config.control_grid()
+        grid[7, 2] = bad
+        with pytest.raises(ValueError, match=r"row 7, column 2 \(gpu_speed\)"):
+            env.evaluate_grid(grid)
+
+    def test_wrong_shape_rejected(self):
+        env, _ = grid_env(1)
+        with pytest.raises(ValueError, match="must be"):
+            env.evaluate_grid(np.zeros((5, 3)))
